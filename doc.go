@@ -39,9 +39,10 @@
 // workload harness (internal/scenario) adds named seeded scenario
 // presets across degree/membership/vocabulary/diffusion regimes —
 // including streaming ingest regimes with replay-equals-batch and
-// freshness invariants, and multi-replica and sharded-fleet presets
-// pinning routed-vs-single-node bit-equality
-// across a live generation rollout — an end-to-end regression runner
+// freshness invariants (RunStream), and full-replica and shard-owning
+// fleet presets run by one runner (RunFleet) pinning
+// routed-vs-single-node bit-equality across a live generation rollout —
+// an end-to-end regression runner
 // with golden metric files, and the cpd-loadgen traffic generator that
 // reports QPS and latency percentiles (reads and ingest writes) against
 // a served model or a router front.

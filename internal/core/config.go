@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Sampler names for Config.Sampler.
 const (
@@ -103,13 +100,15 @@ type Config struct {
 	WarmStartSweeps int
 
 	// Workers is the E-step worker-pool size (Sect. 4.3). 0 selects
-	// runtime.NumCPU(). Workers is a logical goroutine count, decoupled
-	// from the physical core count: training is bit-identical for every
-	// value (including Workers = 1 and Workers > NumCPU), because the unit
-	// of work is the data segment — fixed segmentation, per-segment RNG
-	// streams, snapshot reads across segments — and Workers only controls
-	// how segments are packed onto pool goroutines. See Engine.
-	Workers int
+	// runtime.NumCPU() when the engine starts. Workers is a logical
+	// goroutine count, decoupled from the physical core count: training
+	// is bit-identical for every value (including Workers = 1 and
+	// Workers > NumCPU), because the unit of work is the data segment —
+	// fixed segmentation, per-segment RNG streams, snapshot reads across
+	// segments — and Workers only controls how segments are packed onto
+	// pool goroutines. See Engine. It is an execution knob, not model
+	// state: no snapshot format persists it.
+	Workers int `json:"-"`
 	// SegmentLDAIters bounds the segmentation LDA's Gibbs sweeps
 	// (default 15).
 	SegmentLDAIters int
@@ -195,9 +194,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WarmStartSweeps < 0 {
 		c.WarmStartSweeps = 0
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.NumCPU()
 	}
 	if c.SegmentLDAIters == 0 {
 		c.SegmentLDAIters = 15

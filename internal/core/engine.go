@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -123,6 +124,9 @@ func NewEngine(g *socialgraph.Graph, cfg Config) (*Engine, error) {
 
 func newEngine(st *state) *Engine {
 	e := &Engine{st: st, cfg: st.cfg, workers: st.cfg.Workers}
+	if e.workers == 0 {
+		e.workers = runtime.NumCPU()
+	}
 	e.buildSegments()
 	e.snap.init(st)
 	loads := make([]float64, len(e.segs))

@@ -82,6 +82,9 @@ func (st *state) buildModel() *Model {
 		Nu:         append([]float64(nil), st.nu...),
 		PopFreq:    sparse.NewDense(st.nTZ.rows, Z),
 	}
+	// Workers only sized the pool that produced the model; the model
+	// itself is identical for every value, so it does not carry one.
+	m.Cfg.Workers = 0
 	m.DocCommunity = append([]int32(nil), st.docC...)
 	m.DocTopic = append([]int32(nil), st.docZ...)
 	m.DocBucket = append([]int(nil), st.docBucket...)

@@ -10,11 +10,11 @@ import (
 )
 
 // ResumeOptions tunes an engine resumed from a saved model. The zero value
-// keeps the model's trained worker count and derives a fresh seed from the
-// original one.
+// sizes the worker pool to runtime.NumCPU() and derives a fresh seed from
+// the original one.
 type ResumeOptions struct {
-	// Workers overrides the worker-pool size (0 keeps the model's value,
-	// with the usual 0-means-NumCPU default).
+	// Workers sets the worker-pool size (0 = runtime.NumCPU()). Models do
+	// not carry a worker count: it never changes the result.
 	Workers int
 	// Seed drives the resumed run's private RNG root. 0 derives a seed from
 	// the model's training seed, so back-to-back resumes of the same
@@ -44,9 +44,7 @@ type ResumeOptions struct {
 // serialized; the two-phase ablation has no single chain to continue).
 func NewEngineFromModel(g *socialgraph.Graph, m *Model, opts ResumeOptions) (*Engine, error) {
 	cfg := m.Cfg
-	if opts.Workers > 0 {
-		cfg.Workers = opts.Workers
-	}
+	cfg.Workers = opts.Workers
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
 	} else {

@@ -7,13 +7,22 @@
 //
 // Each preset expands to a graph + vocabulary + ground-truth bundle through
 // internal/synth, a matching training configuration, and per-scenario
-// regression floors. On top of the presets sit two consumers:
+// regression floors. On top of the presets sit four consumers:
 //
 //   - Run (runner.go): the deterministic end-to-end regression check —
 //     train → binary snapshot → serve.Engine → query (library and HTTP
 //     surface) — verifying ground-truth recovery (NMI), fold-in
 //     determinism, rank-index/full-scan agreement and snapshot round-trip
 //     equality, with golden metric files (golden.go) for drift detection;
+//   - RunStream (streaming.go, StreamPresets): the write path — a base
+//     model trained on part of a preset, the rest ingested as journal
+//     events under a read hammer — verifying one-cycle freshness,
+//     incremental publishes equal to a shadow full rebuild, and replay
+//     equal to batch fold-in;
+//   - RunFleet (fleet.go, FleetPresets): the routed fleet — a publisher,
+//     fetcher-fed replicas holding full files or one shard each, and the
+//     router — verifying routed answers equal a single full node's on both
+//     sides of a live generation rollout;
 //   - LoadGen (loadgen.go): the query traffic generator behind
 //     cmd/cpd-loadgen, replaying configurable rank/membership/diffusion/
 //     fold-in mixes against an engine or a live HTTP endpoint.
@@ -215,12 +224,22 @@ func Names() []string {
 
 // Lookup resolves a preset by name.
 func Lookup(name string) (Preset, error) {
-	for _, p := range presets {
-		if p.Name == name {
+	return lookup("preset", presets, name, func(p Preset) string { return p.Name })
+}
+
+// lookup resolves name in one preset registry; kind labels the error,
+// which lists the registry's names sorted.
+func lookup[P any](kind string, registry []P, name string, nameOf func(P) string) (P, error) {
+	names := make([]string, len(registry))
+	for i, p := range registry {
+		if nameOf(p) == name {
 			return p, nil
 		}
+		names[i] = nameOf(p)
 	}
-	return Preset{}, fmt.Errorf("scenario: unknown preset %q (have %v)", name, Names())
+	sort.Strings(names)
+	var zero P
+	return zero, fmt.Errorf("scenario: unknown %s %q (have %v)", kind, name, names)
 }
 
 // Bundle is one expanded scenario: the graph, its themed vocabulary, and

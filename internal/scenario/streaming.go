@@ -25,10 +25,9 @@ type StreamPreset struct {
 	Description string
 
 	// Base is the underlying population preset (graph, truth, training
-	// config); BaseFraction of its users form the trained base model, the
+	// config); baseFraction of its users form the trained base model, the
 	// rest arrive through the journal.
-	Base         Preset
-	BaseFraction float64
+	Base Preset
 
 	// BatchEvents is the ingest batch size (1 = strict event-by-event
 	// drip); WindowEvents the updater's publish window.
@@ -65,8 +64,7 @@ func StreamPresets() []StreamPreset {
 		}
 		sp := StreamPreset{
 			Name: name, Description: desc, Base: bp,
-			BaseFraction: 0.75, BatchEvents: 1, WindowEvents: 8,
-			MinNMI: 0.30,
+			BatchEvents: 1, WindowEvents: 8, MinNMI: 0.30,
 		}
 		if f != nil {
 			f(&sp)
@@ -99,16 +97,7 @@ func StreamPresets() []StreamPreset {
 
 // LookupStream resolves a streaming preset by name.
 func LookupStream(name string) (StreamPreset, error) {
-	for _, p := range StreamPresets() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	var names []string
-	for _, p := range StreamPresets() {
-		names = append(names, p.Name)
-	}
-	return StreamPreset{}, fmt.Errorf("scenario: unknown streaming preset %q (have %v)", name, names)
+	return lookup("streaming preset", StreamPresets(), name, func(p StreamPreset) string { return p.Name })
 }
 
 // StreamMetrics is one streaming run's end-to-end measurement.
@@ -135,6 +124,73 @@ type StreamMetrics struct {
 	// during ingest (the under-load half of the freshness invariant).
 	ReadQueries uint64 `json:"readQueries"`
 	ReadErrors  uint64 `json:"readErrors"`
+}
+
+// baseFraction is the share of a preset's users that trains the frozen
+// base model in the streaming and fleet runs; the rest arrive as events.
+const baseFraction = 0.75
+
+// streamBase is the setup the streaming and fleet runs share: the built
+// bundle, its base split, the model trained on that split, and the events
+// that grow it back to the full population.
+type streamBase struct {
+	b         *Bundle
+	baseUsers int
+	baseG     *socialgraph.Graph
+	model     *core.Model
+	evs       []stream.Event
+	skipped   int
+}
+
+// newStreamBase builds p, trains the base model on its first baseFraction
+// users — minus the trailing holdoutDocs share of each one's documents,
+// which stream back in as churn — and turns everything the base lacks
+// into events. name labels errors.
+func newStreamBase(name string, p Preset, holdoutDocs float64) (*streamBase, error) {
+	b, err := Build(p)
+	if err != nil {
+		return nil, err
+	}
+	g := b.Graph
+	baseUsers := int(float64(g.NumUsers) * baseFraction)
+	if baseUsers < 2 || baseUsers >= g.NumUsers {
+		return nil, fmt.Errorf("scenario %s: base fraction %.2f leaves no streamed users", name, baseFraction)
+	}
+	// The first ceil((1-f)·n) docs of each base user train, the rest
+	// stream.
+	holdout := map[int32]bool{}
+	if holdoutDocs > 0 {
+		total := map[int32]int{}
+		for _, d := range g.Docs {
+			if int(d.User) < baseUsers {
+				total[d.User]++
+			}
+		}
+		seen := map[int32]int{}
+		for i, d := range g.Docs {
+			if int(d.User) >= baseUsers {
+				continue
+			}
+			seen[d.User]++
+			keep := total[d.User] - int(holdoutDocs*float64(total[d.User]))
+			if keep < 1 {
+				keep = 1
+			}
+			if seen[d.User] > keep {
+				holdout[int32(i)] = true
+			}
+		}
+	}
+	baseG, docMap, held := prefixGraph(g, baseUsers, holdout)
+	if err := baseG.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario %s: base subgraph invalid: %w", name, err)
+	}
+	model, _, err := core.Train(baseG, p.Train)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: base training failed: %w", name, err)
+	}
+	evs, skipped := buildStreamEvents(g, baseUsers, docMap, held)
+	return &streamBase{b: b, baseUsers: baseUsers, baseG: baseG, model: model, evs: evs, skipped: skipped}, nil
 }
 
 // prefixGraph cuts the full bundle graph down to its first baseUsers
@@ -259,49 +315,11 @@ func buildStreamEvents(g *socialgraph.Graph, baseUsers int, docMap []int32, held
 //     the preset floor;
 //   - the delta-Gibbs cadence fires when configured.
 func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
-	b, err := Build(p.Base)
+	sb, err := newStreamBase(p.Name, p.Base, p.HoldoutDocs)
 	if err != nil {
 		return nil, err
 	}
-	g := b.Graph
-	baseUsers := int(float64(g.NumUsers) * p.BaseFraction)
-	if baseUsers < 2 || baseUsers >= g.NumUsers {
-		return nil, fmt.Errorf("scenario %s: base fraction %.2f leaves no streamed users", p.Name, p.BaseFraction)
-	}
-	// Hold out a deterministic tail slice of each base user's documents
-	// under churn: the first ceil((1-f)·n) docs train, the rest stream.
-	holdout := map[int32]bool{}
-	if p.HoldoutDocs > 0 {
-		total := map[int32]int{}
-		for _, d := range g.Docs {
-			if int(d.User) < baseUsers {
-				total[d.User]++
-			}
-		}
-		seen := map[int32]int{}
-		for i, d := range g.Docs {
-			if int(d.User) >= baseUsers {
-				continue
-			}
-			seen[d.User]++
-			keep := total[d.User] - int(p.HoldoutDocs*float64(total[d.User]))
-			if keep < 1 {
-				keep = 1
-			}
-			if seen[d.User] > keep {
-				holdout[int32(i)] = true
-			}
-		}
-	}
-	baseG, docMap, held := prefixGraph(g, baseUsers, holdout)
-	if err := baseG.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %s: base subgraph invalid: %w", p.Name, err)
-	}
-	baseModel, _, err := core.Train(baseG, p.Base.Train)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: base training failed: %w", p.Name, err)
-	}
-	evs, skipped := buildStreamEvents(g, baseUsers, docMap, held)
+	b, g, baseUsers, baseG, baseModel, evs := sb.b, sb.b.Graph, sb.baseUsers, sb.baseG, sb.model, sb.evs
 
 	var cleanups []func()
 	defer func() {
@@ -366,7 +384,7 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 
 	m := &StreamMetrics{
 		Preset: p.Name, BaseUsers: baseUsers, TotalUsers: g.NumUsers,
-		Events: len(evs), SkippedDiffs: skipped,
+		Events: len(evs), SkippedDiffs: sb.skipped,
 	}
 	var problems []string
 	fail := func(format string, args ...any) {
@@ -375,8 +393,18 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 
 	// Concurrent read hammer: queries flow against the engine for the
 	// whole ingest, and none may error (hot-swaps must be invisible).
+	// stop is idempotent and deferred, so every early return also halts
+	// the hammer before the engines close.
 	stopReads := make(chan struct{})
 	var wg sync.WaitGroup
+	var stopOnce sync.Once
+	stop := func() {
+		stopOnce.Do(func() {
+			close(stopReads)
+			wg.Wait()
+		})
+	}
+	defer stop()
 	var reads, readErrs atomic.Uint64
 	wg.Add(1)
 	go func() {
@@ -407,34 +435,22 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 			end = len(evs)
 		}
 		if _, err := u.Ingest(evs[i:end]); err != nil {
-			close(stopReads)
-			wg.Wait()
 			return m, fmt.Errorf("scenario %s: ingest failed at event %d: %w", p.Name, i, err)
 		}
 		if _, _, err := u.MaybePublish(); err != nil {
-			close(stopReads)
-			wg.Wait()
 			return m, fmt.Errorf("scenario %s: publish failed: %w", p.Name, err)
 		}
 		if _, err := fb.Ingest(evs[i:end]); err != nil {
-			close(stopReads)
-			wg.Wait()
 			return m, fmt.Errorf("scenario %s: shadow ingest failed at event %d: %w", p.Name, i, err)
 		}
 		if _, _, err := fb.MaybePublish(); err != nil {
-			close(stopReads)
-			wg.Wait()
 			return m, fmt.Errorf("scenario %s: shadow publish failed: %w", p.Name, err)
 		}
 	}
 	if _, err := u.Publish(); err != nil {
-		close(stopReads)
-		wg.Wait()
 		return m, fmt.Errorf("scenario %s: final publish failed: %w", p.Name, err)
 	}
 	if _, err := fb.Publish(); err != nil {
-		close(stopReads)
-		wg.Wait()
 		return m, fmt.Errorf("scenario %s: shadow final publish failed: %w", p.Name, err)
 	}
 
@@ -447,16 +463,12 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 	}
 	genBefore := u.Generation()
 	if _, err := u.Ingest(probeEvents); err != nil {
-		close(stopReads)
-		wg.Wait()
 		return m, fmt.Errorf("scenario %s: probe ingest failed: %w", p.Name, err)
 	}
 	if _, err := engine.Membership(int(probeUser), 3); err == nil {
 		fail("probe user visible before any publish cycle")
 	}
 	if _, err := u.Publish(); err != nil {
-		close(stopReads)
-		wg.Wait()
 		return m, fmt.Errorf("scenario %s: probe publish failed: %w", p.Name, err)
 	}
 	if u.Generation() != genBefore+1 {
@@ -466,17 +478,12 @@ func RunStream(p StreamPreset, opts RunOptions) (*StreamMetrics, error) {
 		fail("probe event not query-visible within one publish cycle (%v)", err)
 	}
 	if _, err := fb.Ingest(probeEvents); err != nil {
-		close(stopReads)
-		wg.Wait()
 		return m, fmt.Errorf("scenario %s: shadow probe ingest failed: %w", p.Name, err)
 	}
 	if _, err := fb.Publish(); err != nil {
-		close(stopReads)
-		wg.Wait()
 		return m, fmt.Errorf("scenario %s: shadow probe publish failed: %w", p.Name, err)
 	}
-	close(stopReads)
-	wg.Wait()
+	stop()
 	m.ReadQueries, m.ReadErrors = reads.Load(), readErrs.Load()
 	if m.ReadErrors > 0 {
 		fail("%d of %d concurrent reads failed during ingest", m.ReadErrors, m.ReadQueries)
