@@ -5,10 +5,31 @@ import (
 	"time"
 )
 
-func TestFleetPresetRegistry(t *testing.T) {
-	ps := FleetPresets()
-	seen := map[string]bool{}
-	var full, sharded bool
+// fleetPresets returns the registered fleet presets of one kind: the
+// shard-owning fleets when sharded is set, the full-replica ones otherwise.
+func fleetPresets(sharded bool) []FleetPreset {
+	var out []FleetPreset
+	for _, p := range FleetPresets() {
+		if (p.Shards > 0) == sharded {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// checkFleetRegistry checks the registered presets of one kind: at least
+// one exists, each is complete, names a supported topology, is unique
+// across the whole registry, and LookupFleet finds it.
+func checkFleetRegistry(t *testing.T, sharded bool) {
+	t.Helper()
+	ps := fleetPresets(sharded)
+	if len(ps) == 0 {
+		t.Fatalf("no fleet presets with sharded=%v", sharded)
+	}
+	seen := map[string]int{}
+	for _, p := range FleetPresets() {
+		seen[p.Name]++
+	}
 	for _, p := range ps {
 		if p.Name == "" || p.Description == "" || p.Base.Name == "" || p.Replicas < 2 {
 			t.Fatalf("preset %+v incomplete", p)
@@ -16,24 +37,21 @@ func TestFleetPresetRegistry(t *testing.T) {
 		if p.Shards != 0 && p.Shards != p.Replicas {
 			t.Fatalf("preset %s: %d shards over %d replicas is not a supported topology", p.Name, p.Shards, p.Replicas)
 		}
-		if seen[p.Name] {
+		if seen[p.Name] != 1 {
 			t.Fatalf("duplicate fleet preset %q", p.Name)
 		}
-		seen[p.Name] = true
-		full = full || p.Shards == 0
-		sharded = sharded || p.Shards > 0
 		got, err := LookupFleet(p.Name)
 		if err != nil || got.Name != p.Name {
 			t.Fatalf("LookupFleet(%q) = %+v, %v", p.Name, got, err)
 		}
 	}
-	if !full || !sharded {
-		t.Fatal("the registry must cover both the full-replica and the shard-owning fleet")
-	}
 	if _, err := LookupFleet("nope"); err == nil {
 		t.Fatal("LookupFleet accepted an unknown name")
 	}
 }
+
+func TestDistPresetRegistry(t *testing.T)  { checkFleetRegistry(t, false) }
+func TestShardPresetRegistry(t *testing.T) { checkFleetRegistry(t, true) }
 
 func TestFleetRejectsUnsupportedTopology(t *testing.T) {
 	p := FleetPresets()[0]
@@ -49,18 +67,23 @@ func TestFleetRejectsUnsupportedTopology(t *testing.T) {
 	}
 }
 
-// TestFleetScenario drives every fleet preset end to end: train →
-// publish → fetcher distribution → router → queries, with bit-equality
-// against a single full node on both sides of a live generation rollout,
-// zero routed read errors during it, and — for the sharded fleet — the
-// per-replica mapped-bytes budget (~full/N + global) held. Both presets
-// run the same check set over the same base population, which comes to
-// 285 equality checks; a floor below that would let a dropped check pass.
-func TestFleetScenario(t *testing.T) {
+// runFleetPresets drives every fleet preset of one kind end to end
+// through RunFleet: train → publish → fetcher distribution → router →
+// queries, with bit-equality against a single full node on both sides of
+// a live generation rollout, zero routed read errors during it, and — for
+// the sharded fleet — the per-replica mapped-bytes budget (~full/N +
+// global) held. Every preset runs the same check set over the same base
+// population, which comes to 285 equality checks; a floor below that
+// would let a dropped check pass.
+func runFleetPresets(t *testing.T, sharded bool) {
 	if testing.Short() {
 		t.Skip("fleet scenarios train models; skipped in -short")
 	}
-	for _, p := range FleetPresets() {
+	ps := fleetPresets(sharded)
+	if len(ps) == 0 {
+		t.Fatalf("no fleet presets with sharded=%v", sharded)
+	}
+	for _, p := range ps {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			start := time.Now()
@@ -91,3 +114,9 @@ func TestFleetScenario(t *testing.T) {
 		})
 	}
 }
+
+// TestDistributedScenario runs the full-replica fleets (tri-replica).
+func TestDistributedScenario(t *testing.T) { runFleetPresets(t, false) }
+
+// TestShardedScenario runs the shard-owning fleets (sharded-fleet).
+func TestShardedScenario(t *testing.T) { runFleetPresets(t, true) }
