@@ -154,20 +154,16 @@ func (rt *Router) attempt(r *replica, req *http.Request, body []byte) (*http.Res
 	return resp, nil
 }
 
-// routeToOwner forwards the request down the given preference chain in
-// three tiers: healthy non-draining replicas first in owner order, then
-// healthy draining ones (a fully-draining fleet must still answer), and
-// only if every healthy attempt failed at transport level do the
-// unhealthy ones get a recovery try. The first replica that answers HTTP
-// wins and its response is relayed verbatim — except 421 (Misdirected
-// Request: the replica disowns the user, its shard moved under the
-// router's topology view), which counts as a misroute and falls through
-// to the next candidate.
-func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain []*replica, body []byte) {
-	start := time.Now()
-	var reqErr error
-	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
-	var misBody []byte
+// failover sends req down the given preference chain in three
+// tiers: healthy non-draining replicas first in chain order, then healthy
+// draining ones (a fully-draining fleet must still answer), and only if
+// every healthy attempt failed at transport level do the unhealthy ones
+// get a recovery try. It returns the first HTTP answer with its body
+// UNREAD — except 421 (Misdirected Request: the replica disowns the user,
+// its shard moved under the router's topology view), which counts as a
+// misroute and falls through to the next candidate. When nothing else
+// answered, resp is nil and misBody holds the last 421 body, if any.
+func (rt *Router) failover(req *http.Request, chain []*replica, body []byte) (resp *http.Response, misBody []byte) {
 	for pass := 0; pass < 3; pass++ {
 		for _, r := range chain {
 			healthy, draining := r.healthy.Load(), r.draining.Load()
@@ -193,21 +189,31 @@ func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain [
 				resp.Body.Close()
 				continue
 			}
-			relay(w, resp)
-			return
+			return resp, nil
 		}
 	}
-	if misBody != nil {
+	return nil, misBody
+}
+
+// routeToOwner relays the owner chain's answer (failover) to the client
+// verbatim, streaming the body.
+func (rt *Router) routeToOwner(w http.ResponseWriter, req *http.Request, chain []*replica, body []byte) {
+	start := time.Now()
+	var reqErr error
+	defer func() { rt.lat[opRoute].Observe(time.Since(start), reqErr) }()
+	resp, misBody := rt.failover(req, chain, body)
+	switch {
+	case resp != nil:
+		relay(w, resp)
+	case misBody != nil:
 		// Every candidate disowned the user: relay the misroute so the
 		// client sees why instead of a generic 502.
 		reqErr = fmt.Errorf("all candidates misrouted")
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusMisdirectedRequest)
-		w.Write(misBody)
-		return
+		relayBytes(w, http.StatusMisdirectedRequest, misBody)
+	default:
+		reqErr = fmt.Errorf("no replica reachable")
+		http.Error(w, "router: no replica reachable for key", http.StatusBadGateway)
 	}
-	reqErr = fmt.Errorf("no replica reachable")
-	http.Error(w, "router: no replica reachable for key", http.StatusBadGateway)
 }
 
 // relay copies a backend response to the client.
@@ -221,24 +227,16 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 }
 
 // proxyFreshest relays to the replica serving the newest generation,
-// preferring healthy ones and failing over down the freshness order.
+// failing over down the freshness order with failover's tiering.
 func (rt *Router) proxyFreshest(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	var reqErr error
 	defer func() { rt.lat[opProxy].Observe(time.Since(start), reqErr) }()
 	order := append([]*replica(nil), rt.replicas...)
 	sort.SliceStable(order, func(i, j int) bool {
-		hi, hj := order[i].healthy.Load(), order[j].healthy.Load()
-		if hi != hj {
-			return hi
-		}
 		return order[i].generation.Load() > order[j].generation.Load()
 	})
-	for _, r := range order {
-		resp, err := rt.attempt(r, req, nil)
-		if err != nil {
-			continue
-		}
+	if resp, _ := rt.failover(req, order, nil); resp != nil {
 		relay(w, resp)
 		return
 	}
@@ -663,11 +661,9 @@ func (rt *Router) fetchPiRow(ctx context.Context, user int64) (*serve.PiRowResul
 	return &res, nil
 }
 
-// ownerFetch sends one synthesized request down a preference chain with
-// routeToOwner's tiering (healthy non-draining, healthy draining,
-// unhealthy) and returns the first HTTP answer, read fully. 421 answers
-// count as misroutes and fall through to the next candidate; if every
-// candidate misroutes, the last 421 is returned so the caller sees why.
+// ownerFetch sends one synthesized request down a preference chain
+// (failover) and returns the answer, read fully. If every candidate
+// misroutes, the last 421 is returned so the caller sees why.
 func (rt *Router) ownerFetch(ctx context.Context, chain []*replica, method, pathAndQuery string, body []byte) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, method, "http://router.invalid"+pathAndQuery, nil)
 	if err != nil {
@@ -676,44 +672,19 @@ func (rt *Router) ownerFetch(ctx context.Context, chain []*replica, method, path
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	var misBody []byte
-	for pass := 0; pass < 3; pass++ {
-		for _, r := range chain {
-			healthy, draining := r.healthy.Load(), r.draining.Load()
-			var want bool
-			switch pass {
-			case 0:
-				want = healthy && !draining
-			case 1:
-				want = healthy && draining
-			default:
-				want = !healthy
-			}
-			if !want {
-				continue
-			}
-			resp, err := rt.attempt(r, req, body)
-			if err != nil {
-				continue
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				r.fail(err)
-				continue
-			}
-			if resp.StatusCode == http.StatusMisdirectedRequest {
-				r.misroutes.Add(1)
-				misBody = b
-				continue
-			}
-			return resp.StatusCode, b, nil
+	resp, misBody := rt.failover(req, chain, body)
+	if resp == nil {
+		if misBody != nil {
+			return http.StatusMisdirectedRequest, misBody, nil
 		}
+		return 0, nil, fmt.Errorf("no replica reachable")
 	}
-	if misBody != nil {
-		return http.StatusMisdirectedRequest, misBody, nil
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, fmt.Errorf("reading owner response: %w", err)
 	}
-	return 0, nil, fmt.Errorf("no replica reachable")
+	return resp.StatusCode, b, nil
 }
 
 // relayBytes writes an already-read backend response to the client.

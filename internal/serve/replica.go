@@ -11,7 +11,10 @@ package serve
 // with a sequential read, so the page cache is hot before the first query
 // touches the mapping. Promotion is the engine's usual atomic swap;
 // in-flight queries finish on the snapshot they started with, exactly as
-// for a local reload.
+// for a local reload. A generation is either one full v2 file or a shard
+// group (FetchOptions.Sharded); both run the same pipeline, differing
+// only in the discovery listing, the files fetched, how each is verified
+// and the promote call.
 
 import (
 	"context"
@@ -20,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -50,8 +52,8 @@ type FetchOptions struct {
 	Client *http.Client
 	// Keep bounds the local cache for HTTP sources: after a promote,
 	// downloaded files older than the newest Keep generations are
-	// removed (default 2; the file backing the live mapping stays valid
-	// even once unlinked).
+	// removed with their .verified sidecars (default 2; the file backing
+	// the live mapping stays valid even once unlinked).
 	Keep int
 	// Sharded switches the fetcher to shard-group generations
 	// (internal/shard): each poll discovers the newest shard manifest,
@@ -98,6 +100,9 @@ type Fetcher struct {
 func NewFetcher(e *Engine, opts FetchOptions) (*Fetcher, error) {
 	if opts.Source == "" {
 		return nil, fmt.Errorf("serve: fetcher needs a source")
+	}
+	if opts.Sharded && opts.Shard < 0 {
+		return nil, fmt.Errorf("serve: shard index %d is negative", opts.Shard)
 	}
 	isHTTP := strings.HasPrefix(opts.Source, "http://") || strings.HasPrefix(opts.Source, "https://")
 	if isHTTP {
@@ -194,10 +199,11 @@ func (f *Fetcher) Run(ctx context.Context) {
 	}
 }
 
+// poll is one discover→materialize→verify→warm→promote→prune cycle,
+// shared by both layouts. A shard group's manifest names every file and
+// its per-section CRCs, so the group verifies and promotes as a unit or
+// is retried whole next poll.
 func (f *Fetcher) poll() (uint64, error) {
-	if f.opts.Sharded {
-		return f.pollSharded()
-	}
 	latest, err := f.discover()
 	if err != nil {
 		return 0, err
@@ -208,20 +214,23 @@ func (f *Fetcher) poll() (uint64, error) {
 	if latest == 0 || latest <= have {
 		return 0, nil // nothing published yet, or already current
 	}
-	path, err := f.materialize(latest)
-	if err != nil {
-		return 0, err
+	dir := f.opts.Source
+	if f.http {
+		dir = f.opts.Dir
+		if err := f.materialize(latest); err != nil {
+			return 0, err
+		}
 	}
-	// Cached verification: a generation this replica already walked (the
-	// .verified sidecar matches size+mtime) skips the O(model) CRC pass —
-	// the restart-fast path for big cached generations.
-	if err := store.VerifyV2FileCached(path); err != nil {
+	promote, err := f.verify(dir, latest)
+	if err != nil {
 		return 0, fmt.Errorf("verifying generation %d: %w", latest, err)
 	}
-	if err := warmFile(path); err != nil {
-		return 0, fmt.Errorf("warming generation %d: %w", latest, err)
+	for _, gf := range f.files(dir, latest) {
+		if err := warmFile(gf.path); err != nil {
+			return 0, fmt.Errorf("warming generation %d: %w", latest, err)
+		}
 	}
-	if _, err := f.e.LoadGeneration(f.opts.Snapshot, path, f.opts.Vocab, latest); err != nil {
+	if err := promote(); err != nil {
 		return 0, fmt.Errorf("promoting generation %d: %w", latest, err)
 	}
 	if f.http {
@@ -230,68 +239,60 @@ func (f *Fetcher) poll() (uint64, error) {
 	return latest, nil
 }
 
-// pollSharded is one sharded discover→fetch→verify→warm→promote cycle:
-// the manifest names every file and its per-section CRCs, so the group
-// either verifies and promotes as a unit or is retried whole next poll.
-func (f *Fetcher) pollSharded() (uint64, error) {
-	latest, err := f.discoverSharded()
-	if err != nil {
-		return 0, err
-	}
-	f.mu.Lock()
-	have := f.gen
-	f.mu.Unlock()
-	if latest == 0 || latest <= have {
-		return 0, nil
-	}
-	dir, man, err := f.materializeSharded(latest)
-	if err != nil {
-		return 0, err
-	}
-	if f.opts.Shard < 0 || f.opts.Shard >= man.Shards {
-		return 0, fmt.Errorf("replica owns shard %d but generation %d has %d shards", f.opts.Shard, latest, man.Shards)
-	}
-	globalPath := shard.GlobalPath(dir, latest)
-	shardPath := shard.ShardPath(dir, latest, f.opts.Shard)
-	if err := shard.VerifyAgainstManifest(globalPath, man.Global); err != nil {
-		return 0, fmt.Errorf("verifying generation %d global file: %w", latest, err)
-	}
-	if err := shard.VerifyAgainstManifest(shardPath, man.Ranges[f.opts.Shard].File); err != nil {
-		return 0, fmt.Errorf("verifying generation %d shard %d: %w", latest, f.opts.Shard, err)
-	}
-	for _, p := range []string{globalPath, shardPath} {
-		if err := warmFile(p); err != nil {
-			return 0, fmt.Errorf("warming generation %d: %w", latest, err)
-		}
-	}
-	g, err := shard.OpenGroup(dir, man, f.opts.Shard)
-	if err != nil {
-		return 0, fmt.Errorf("opening generation %d shard %d: %w", latest, f.opts.Shard, err)
-	}
-	f.e.PromoteShardGroup(f.opts.Snapshot, g, f.opts.Vocab, latest)
-	if f.http {
-		f.pruneShardCache(latest)
-	}
-	return latest, nil
+// genFile is one file of a generation this replica maps: its local path
+// and, for an HTTP source, its download endpoint relative to Source.
+type genFile struct {
+	path, query string
 }
 
-// discoverSharded finds the newest sharded generation the source offers.
-func (f *Fetcher) discoverSharded() (uint64, error) {
+// files lists generation gen's files under dir: the full v2 snapshot, or
+// a shard group's manifest (first — it names the others' checksums), its
+// global file and this replica's own shard.
+func (f *Fetcher) files(dir string, gen uint64) []genFile {
+	if !f.opts.Sharded {
+		return []genFile{{store.GenPath(dir, gen), fmt.Sprintf("/api/generations/file?gen=%d", gen)}}
+	}
+	return []genFile{
+		{shard.ManifestPath(dir, gen), fmt.Sprintf("/api/shards/manifest?gen=%d", gen)},
+		{shard.GlobalPath(dir, gen), fmt.Sprintf("/api/shards/file?gen=%d&global=1", gen)},
+		{shard.ShardPath(dir, gen, f.opts.Shard), fmt.Sprintf("/api/shards/file?gen=%d&shard=%d", gen, f.opts.Shard)},
+	}
+}
+
+// scan lists the generations present under dir, ascending.
+func (f *Fetcher) scan(dir string) ([]uint64, error) {
+	if f.opts.Sharded {
+		return shard.ScanManifests(dir)
+	}
+	files, err := store.ScanGenerations(dir)
+	gens := make([]uint64, len(files))
+	for i, gf := range files {
+		gens[i] = gf.Generation
+	}
+	return gens, err
+}
+
+// discover finds the newest generation the source offers.
+func (f *Fetcher) discover() (uint64, error) {
 	if !f.http {
-		gens, err := shard.ScanManifests(f.opts.Source)
+		gens, err := f.scan(f.opts.Source)
 		if err != nil || len(gens) == 0 {
 			return 0, err
 		}
 		return gens[len(gens)-1], nil
 	}
-	resp, err := f.opts.Client.Get(f.opts.Source + "/api/shards")
+	index := f.opts.Source + "/api/generations"
+	if f.opts.Sharded {
+		index = f.opts.Source + "/api/shards"
+	}
+	resp, err := f.opts.Client.Get(index)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return 0, fmt.Errorf("%s/api/shards answered status %d", f.opts.Source, resp.StatusCode)
+		return 0, fmt.Errorf("%s answered status %d", index, resp.StatusCode)
 	}
 	var man struct {
 		Generation uint64 `json:"generation"`
@@ -302,39 +303,60 @@ func (f *Fetcher) discoverSharded() (uint64, error) {
 	return man.Generation, nil
 }
 
-// materializeSharded returns a directory holding generation gen's
-// manifest, global file and this replica's shard, plus the parsed
-// manifest: the publisher's directory itself for a directory source,
-// downloaded copies for an HTTP source. Already-downloaded files are
-// reused; the caller re-verifies every CRC either way.
-func (f *Fetcher) materializeSharded(gen uint64) (string, *shard.Manifest, error) {
-	if !f.http {
-		man, err := shard.ReadManifest(shard.ManifestPath(f.opts.Source, gen))
-		return f.opts.Source, man, err
-	}
-	manPath := shard.ManifestPath(f.opts.Dir, gen)
-	if _, err := os.Stat(manPath); err != nil {
-		if err := f.download(fmt.Sprintf("%s/api/shards/manifest?gen=%d", f.opts.Source, gen), manPath); err != nil {
-			return "", nil, err
-		}
-	}
-	man, err := shard.ReadManifest(manPath)
-	if err != nil {
-		return "", nil, err
-	}
-	fetches := []struct{ url, path string }{
-		{fmt.Sprintf("%s/api/shards/file?gen=%d&global=1", f.opts.Source, gen), shard.GlobalPath(f.opts.Dir, gen)},
-		{fmt.Sprintf("%s/api/shards/file?gen=%d&shard=%d", f.opts.Source, gen, f.opts.Shard), shard.ShardPath(f.opts.Dir, gen, f.opts.Shard)},
-	}
-	for _, fe := range fetches {
-		if _, err := os.Stat(fe.path); err == nil {
+// materialize downloads generation gen's files into the cache dir.
+// Already-downloaded files are reused; verify re-checks every CRC either
+// way.
+func (f *Fetcher) materialize(gen uint64) error {
+	for _, gf := range f.files(f.opts.Dir, gen) {
+		if _, err := os.Stat(gf.path); err == nil {
 			continue
 		}
-		if err := f.download(fe.url, fe.path); err != nil {
-			return "", nil, err
+		if err := f.download(f.opts.Source+gf.query, gf.path); err != nil {
+			return err
 		}
 	}
-	return f.opts.Dir, man, nil
+	return nil
+}
+
+// verify checks generation gen's files under dir and returns the step
+// that promotes them. A full snapshot gets the cached CRC walk (a
+// generation this replica already walked — its .verified sidecar matches
+// size+mtime — skips the O(model) pass, the restart-fast path for big
+// cached generations); a shard group's files are checked against the
+// manifest's per-section CRCs as well.
+func (f *Fetcher) verify(dir string, gen uint64) (promote func() error, err error) {
+	if !f.opts.Sharded {
+		path := store.GenPath(dir, gen)
+		if err := store.VerifyV2FileCached(path); err != nil {
+			return nil, err
+		}
+		return func() error {
+			_, err := f.e.LoadGeneration(f.opts.Snapshot, path, f.opts.Vocab, gen)
+			return err
+		}, nil
+	}
+	man, err := shard.ReadManifest(shard.ManifestPath(dir, gen))
+	if err != nil {
+		return nil, err
+	}
+	k := f.opts.Shard
+	if k >= man.Shards {
+		return nil, fmt.Errorf("replica owns shard %d but the group has %d shards", k, man.Shards)
+	}
+	if err := shard.VerifyAgainstManifest(shard.GlobalPath(dir, gen), man.Global); err != nil {
+		return nil, fmt.Errorf("global file: %w", err)
+	}
+	if err := shard.VerifyAgainstManifest(shard.ShardPath(dir, gen, k), man.Ranges[k].File); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", k, err)
+	}
+	return func() error {
+		g, err := shard.OpenGroup(dir, man, k)
+		if err != nil {
+			return err
+		}
+		f.e.PromoteShardGroup(f.opts.Snapshot, g, f.opts.Vocab, gen)
+		return nil
+	}, nil
 }
 
 // download fetches url into path via a temp file and atomic rename.
@@ -367,125 +389,41 @@ func (f *Fetcher) download(url, path string) error {
 	return nil
 }
 
-// pruneShardCache drops downloaded shard-group files (and .verified
-// sidecars) older than the newest Keep generations.
-func (f *Fetcher) pruneShardCache(latest uint64) {
-	if latest <= uint64(f.opts.Keep) {
-		return
-	}
-	cut := latest - uint64(f.opts.Keep)
-	gens, err := shard.ScanManifests(f.opts.Dir)
-	if err != nil {
-		return
-	}
-	for _, gen := range gens {
-		if gen > cut {
-			continue
-		}
-		os.Remove(shard.ManifestPath(f.opts.Dir, gen))
-		for _, p := range []string{shard.GlobalPath(f.opts.Dir, gen), shard.ShardPath(f.opts.Dir, gen, f.opts.Shard)} {
-			os.Remove(p)
-			os.Remove(p + store.VerifiedSidecarSuffix)
-		}
-	}
-}
-
-// discover finds the newest generation the source offers.
-func (f *Fetcher) discover() (uint64, error) {
-	if !f.http {
-		files, err := store.ScanGenerations(f.opts.Source)
-		if err != nil || len(files) == 0 {
-			return 0, err
-		}
-		return files[len(files)-1].Generation, nil
-	}
-	resp, err := f.opts.Client.Get(f.opts.Source + "/api/generations")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return 0, fmt.Errorf("%s/api/generations answered status %d", f.opts.Source, resp.StatusCode)
-	}
-	var man struct {
-		Generation uint64 `json:"generation"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&man); err != nil {
-		return 0, err
-	}
-	return man.Generation, nil
-}
-
-// materialize returns a local path holding generation gen: the publisher
-// file itself for a directory source, a downloaded copy (atomic rename)
-// for an HTTP source. An already-downloaded copy is reused — its CRCs
-// are re-verified by the caller either way.
-func (f *Fetcher) materialize(gen uint64) (string, error) {
-	if !f.http {
-		return store.GenPath(f.opts.Source, gen), nil
-	}
-	path := store.GenPath(f.opts.Dir, gen)
-	if _, err := os.Stat(path); err == nil {
-		return path, nil
-	}
-	resp, err := f.opts.Client.Get(fmt.Sprintf("%s/api/generations/file?gen=%d", f.opts.Source, gen))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return "", fmt.Errorf("fetching generation %d: status %d", gen, resp.StatusCode)
-	}
-	tmp, err := os.CreateTemp(f.opts.Dir, ".fetch-*")
-	if err != nil {
-		return "", err
-	}
-	_, err = io.Copy(tmp, resp.Body)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	return path, nil
-}
-
-// pruneCache drops downloaded generations older than the newest Keep.
-// Gaps don't matter: retention lists the directory (the same discipline
-// as the publisher's own pruning).
+// pruneCache drops downloaded generations older than the newest Keep,
+// each file together with its .verified sidecar. Gaps don't matter:
+// retention lists the directory (the same discipline as the publisher's
+// own pruning), and the file backing the live mapping stays valid even
+// once unlinked.
 func (f *Fetcher) pruneCache(latest uint64) {
 	if latest <= uint64(f.opts.Keep) {
 		return
 	}
 	cut := latest - uint64(f.opts.Keep)
-	files, err := store.ScanGenerations(f.opts.Dir)
+	gens, err := f.scan(f.opts.Dir)
 	if err != nil {
 		return
 	}
-	for _, gf := range files {
-		if gf.Generation <= cut {
-			os.Remove(filepath.Join(f.opts.Dir, gf.Name))
+	for _, gen := range gens {
+		if gen > cut {
+			break
+		}
+		for _, gf := range f.files(f.opts.Dir, gen) {
+			store.RemoveWithSidecar(gf.path)
 		}
 	}
 }
 
 // warmFile reads the file once, sequentially, populating the page cache
 // so the first queries against the freshly mapped snapshot don't pay
-// cold-read latency mid-request.
+// cold-read latency mid-request. Plain io.Copy: *os.File implements
+// WriterTo, so a caller-supplied copy buffer would be allocated and never
+// used.
 func warmFile(path string) error {
 	fh, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer fh.Close()
-	buf := make([]byte, 1<<20)
-	_, err = io.CopyBuffer(io.Discard, fh, buf)
+	_, err = io.Copy(io.Discard, fh)
 	return err
 }

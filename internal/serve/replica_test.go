@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -137,5 +142,129 @@ func TestFetcherHTTPSource(t *testing.T) {
 	// A fetcher with an HTTP source but no cache dir is a config error.
 	if _, err := NewFetcher(e, FetchOptions{Source: srv.URL}); err == nil {
 		t.Fatal("HTTP source without a cache dir accepted")
+	}
+	// So is a shard-owning fetcher with a negative shard index.
+	if _, err := NewFetcher(e, FetchOptions{Source: srv.URL, Dir: cache, Sharded: true, Shard: -1}); err == nil {
+		t.Fatal("negative shard index accepted")
+	}
+}
+
+// cacheNames lists the base names in dir, sorted.
+func cacheNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ent := range ents {
+		names = append(names, ent.Name())
+	}
+	sort.Strings(names)
+	return names
+}
+
+// genParam parses the ?gen= parameter of a snapshot-file request.
+func genParam(r *http.Request) uint64 {
+	gen, _ := strconv.ParseUint(r.URL.Query().Get("gen"), 10, 64)
+	return gen
+}
+
+// TestFetcherCacheRetentionRemovesSidecars polls generations 1..4 one at
+// a time from an HTTP source with Keep 1: each poll prunes the previous
+// generation, and its .verified sidecar must go with it.
+func TestFetcherCacheRetentionRemovesSidecars(t *testing.T) {
+	pub := t.TempDir()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/api/generations", func(w http.ResponseWriter, r *http.Request) {
+		files, _ := store.ScanGenerations(pub)
+		fmt.Fprintf(w, `{"generation": %d}`, files[len(files)-1].Generation)
+	})
+	mux.HandleFunc("/api/generations/file", func(w http.ResponseWriter, r *http.Request) {
+		http.ServeFile(w, r, store.GenPath(pub, genParam(r)))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	cache := t.TempDir()
+	e := NewMulti(Options{Mmap: true})
+	defer e.Close()
+	f, err := NewFetcher(e, FetchOptions{Source: srv.URL, Dir: cache, Keep: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := uint64(1); gen <= 4; gen++ {
+		publishGen(t, pub, gen, gen)
+		if got, err := f.Poll(); got != gen || err != nil {
+			t.Fatalf("poll = %d, %v; want %d", got, err, gen)
+		}
+	}
+	newest := filepath.Base(store.GenPath(cache, 4))
+	want := []string{newest, newest + store.VerifiedSidecarSuffix}
+	if got := cacheNames(t, cache); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache after retention = %v, want %v", got, want)
+	}
+}
+
+// TestFetcherShardedHTTPSource drives the shard-group pipeline against
+// hand-rolled /api/shards* handlers: generations 1..3 are split into 3
+// shards and polled one at a time with Keep 1 by the replica owning
+// shard 1.
+func TestFetcherShardedHTTPSource(t *testing.T) {
+	src, pub := t.TempDir(), t.TempDir()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/api/shards", func(w http.ResponseWriter, r *http.Request) {
+		gens, _ := shard.ScanManifests(pub)
+		fmt.Fprintf(w, `{"generation": %d}`, gens[len(gens)-1])
+	})
+	mux.HandleFunc("/api/shards/manifest", func(w http.ResponseWriter, r *http.Request) {
+		http.ServeFile(w, r, shard.ManifestPath(pub, genParam(r)))
+	})
+	mux.HandleFunc("/api/shards/file", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("global") != "" {
+			http.ServeFile(w, r, shard.GlobalPath(pub, genParam(r)))
+			return
+		}
+		k, _ := strconv.Atoi(r.URL.Query().Get("shard"))
+		http.ServeFile(w, r, shard.ShardPath(pub, genParam(r), k))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	const own = 1
+	cache := t.TempDir()
+	e := NewMulti(Options{Mmap: true})
+	defer e.Close()
+	f, err := NewFetcher(e, FetchOptions{Source: srv.URL, Dir: cache, Keep: 1, Sharded: true, Shard: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man *shard.Manifest
+	for gen := uint64(1); gen <= 3; gen++ {
+		if man, err = shard.Split(publishGen(t, src, gen, gen), pub, gen, shard.SplitOptions{Shards: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := f.Poll(); got != gen || err != nil {
+			t.Fatalf("sharded poll = %d, %v; want %d", got, err, gen)
+		}
+	}
+
+	r := man.Ranges[own]
+	if res, err := e.Membership(r.UserLo, 3); err != nil || res.Generation != 3 {
+		t.Fatalf("owned user %d: %+v, %v", r.UserLo, res, err)
+	}
+	var notOwned *ErrNotOwned
+	if _, err := e.Membership(man.Ranges[0].UserLo, 3); !errors.As(err, &notOwned) {
+		t.Fatalf("user outside shard %d answered %v, want ErrNotOwned", own, err)
+	}
+
+	var want []string
+	for _, p := range []string{shard.GlobalPath(cache, 3), shard.ShardPath(cache, 3, own)} {
+		want = append(want, filepath.Base(p), filepath.Base(p)+store.VerifiedSidecarSuffix)
+	}
+	want = append(want, filepath.Base(shard.ManifestPath(cache, 3)))
+	sort.Strings(want)
+	if got := cacheNames(t, cache); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache after retention = %v, want %v", got, want)
 	}
 }

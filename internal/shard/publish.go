@@ -230,22 +230,15 @@ func (p *Publisher) Prune(cut uint64) {
 		if gen > cut {
 			continue
 		}
-		man, err := ReadManifest(ManifestPath(p.dir, gen))
-		os.Remove(ManifestPath(p.dir, gen))
-		paths := []string{GlobalPath(p.dir, gen)}
-		if err == nil {
-			for i := range man.Ranges {
-				paths = append(paths, ShardPath(p.dir, gen, i))
-			}
-		} else {
-			for i := 0; i < p.shards; i++ {
-				paths = append(paths, ShardPath(p.dir, gen, i))
-			}
+		n := p.shards
+		if man, err := ReadManifest(ManifestPath(p.dir, gen)); err == nil {
+			n = len(man.Ranges)
 		}
-		for _, path := range paths {
-			os.Remove(path)
-			os.Remove(path + store.VerifiedSidecarSuffix)
+		paths := []string{ManifestPath(p.dir, gen), GlobalPath(p.dir, gen)}
+		for i := 0; i < n; i++ {
+			paths = append(paths, ShardPath(p.dir, gen, i))
 		}
+		store.RemoveWithSidecar(paths...)
 	}
 }
 

@@ -416,6 +416,28 @@ func TestPublisherMatchesFullSnapshot(t *testing.T) {
 	if _, err := ReadManifest(ManifestPath(dir, 3)); err != nil {
 		t.Fatalf("generation 3 should survive the prune: %v", err)
 	}
+
+	// A 1-shard group (stream.Options.Shards == 1) is the same file set
+	// with one range covering every user: it joins to the full snapshot
+	// through the full, incremental and growth publishes alike.
+	one := t.TempDir()
+	pub1, err := NewPublisher(one, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen, step := range []struct {
+		m *core.Model
+		d Delta
+	}{{m1, Delta{Full: true}}, {m2, Delta{ChangedUsers: []int32{3, 44}}}, {m3, Delta{ChangedUsers: []int32{10}}}} {
+		man, err := pub1.Publish(uint64(gen+1), step.m, step.d)
+		if err != nil {
+			t.Fatalf("1-shard publish gen %d: %v", gen+1, err)
+		}
+		if r := man.Ranges[0]; man.Shards != 1 || r.UserLo != 0 || r.UserHi != step.m.NumUsers {
+			t.Fatalf("1-shard gen %d ranges = %+v", gen+1, man.Ranges)
+		}
+		assertJoinMatches(t, one, uint64(gen+1), step.m)
+	}
 }
 
 // clonePi mirrors the stream updater's incremental publish: a brand-new Π

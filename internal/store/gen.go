@@ -8,7 +8,7 @@ package store
 // directory-scan live here so every tier parses the same convention.
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -96,21 +96,7 @@ func VerifyV2File(path string) error {
 	if err != nil {
 		return err
 	}
-	if len(data) < v2HeaderLen {
-		return fmt.Errorf("store: %s: file shorter than a v2 header", path)
-	}
-	if string(data[:len(magicV2)]) != magicV2 {
-		return fmt.Errorf("store: %s: not a v2 CPD snapshot", path)
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	if count == 0 || count > maxV2Entries {
-		return fmt.Errorf("store: %s: v2 snapshot claims %d sections", path, count)
-	}
-	tableEnd := uint64(v2HeaderLen) + count*v2EntryLen
-	if tableEnd > uint64(len(data)) {
-		return fmt.Errorf("store: %s: v2 section table truncated", path)
-	}
-	entries, err := parseV2Table(data[:v2HeaderLen], data[v2HeaderLen:tableEnd], uint64(len(data)))
+	_, entries, err := readV2Head(bytes.NewReader(data), uint64(len(data)))
 	if err != nil {
 		return fmt.Errorf("store: %s: %w", path, err)
 	}
@@ -122,4 +108,16 @@ func VerifyV2File(path string) error {
 		}
 	}
 	return nil
+}
+
+// RemoveWithSidecar deletes each snapshot file together with its
+// .verified receipt (VerifyV2FileCached). Retention on both sides of
+// distribution — the publisher's snapshot dir and a replica's fetch
+// cache — goes through it, so no receipt outlives its file. Files that
+// are already gone are not an error.
+func RemoveWithSidecar(paths ...string) {
+	for _, p := range paths {
+		os.Remove(p)
+		os.Remove(p + VerifiedSidecarSuffix)
+	}
 }

@@ -1,14 +1,11 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -34,116 +31,56 @@ import (
 type MappedModel struct {
 	Model *core.Model
 
-	path      string
-	data      []byte
-	mapped    bool // true: data is a real mapping; false: aligned heap copy
-	closeOnce sync.Once
-	closed    atomic.Bool
-	closeErr  error
+	raw    *RawFile
+	closed atomic.Bool
 }
 
 // Open maps the v2 snapshot at path and returns a model whose matrices
-// alias the mapping. The section table is checksum-verified; payload bytes
+// alias the mapping: OpenRawFile, then AssembleRawModel over all of the
+// file's sections. The section table is checksum-verified; payload bytes
 // are used in place and NOT checksummed (see the v2 format doc). On hosts
 // without a usable mmap the file is read into aligned memory instead
-// (Mapped reports false); on big-endian hosts Open falls back to the
+// (Mapped reports false); on big-endian hosts assembly falls back to the
 // copying decoder. v1 or JSON files are rejected: callers that want
 // format-agnostic loading use LoadFile, which always copies.
 func Open(path string) (*MappedModel, error) {
-	data, mapped, err := mapFile(path)
+	rf, err := OpenRawFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
+		return nil, err
 	}
-	mm := &MappedModel{path: path, data: data, mapped: mapped}
-	m, err := assembleMapped(data)
+	m, err := AssembleRawModel(rf.Sections())
 	if err != nil {
-		mm.Close()
+		rf.Close()
 		return nil, fmt.Errorf("store: opening %s: %w", path, err)
 	}
-	mm.Model = m
-	return mm, nil
+	return &MappedModel{Model: m, raw: rf}, nil
 }
 
 // Close releases the mapping. The model (and every view derived from it)
 // must not be touched afterwards. Close is idempotent.
 func (mm *MappedModel) Close() error {
-	mm.closeOnce.Do(func() {
-		data := mm.data
-		mm.data = nil
-		if mm.mapped && data != nil {
-			mm.closeErr = unmapFile(data)
-		}
-		mm.closed.Store(true)
-	})
-	return mm.closeErr
+	err := mm.raw.Close()
+	mm.closed.Store(true)
+	return err
 }
 
 // Closed reports whether Close has completed (the refcount tests' probe).
 func (mm *MappedModel) Closed() bool { return mm.closed.Load() }
 
 // Path returns the snapshot file the model was opened from.
-func (mm *MappedModel) Path() string { return mm.path }
+func (mm *MappedModel) Path() string { return mm.raw.Path() }
 
 // Mapped reports whether the model really aliases a kernel mapping
 // (false on the aligned-copy fallback platforms).
-func (mm *MappedModel) Mapped() bool { return mm.mapped }
+func (mm *MappedModel) Mapped() bool { return mm.raw.Mapped() }
 
 // MappedBytes returns the size of the mapping backing the matrices.
-func (mm *MappedModel) MappedBytes() int64 { return int64(len(mm.data)) }
+func (mm *MappedModel) MappedBytes() int64 { return mm.raw.SizeBytes() }
 
 // HeapBytes returns the approximate heap footprint of the model's rebuilt
 // prediction caches — the part of a mapped model that is NOT backed by
 // the file.
 func (mm *MappedModel) HeapBytes() int64 { return mm.Model.CacheBytes() }
-
-// assembleMapped builds a model over the mapping without copying numeric
-// payloads. On big-endian hosts it routes through the copying decoder
-// (the bytes are little-endian on disk).
-func assembleMapped(data []byte) (*core.Model, error) {
-	if len(data) < v2HeaderLen {
-		return nil, fmt.Errorf("file shorter than a v2 header")
-	}
-	if string(data[:len(magicV2)]) != magicV2 {
-		if bytes.Equal(data[:6], []byte(magicV2[:6])) {
-			return nil, fmt.Errorf("snapshot is format version %d; Open requires v2 (retrain or re-save with -format v2, or load with LoadFile)", data[6])
-		}
-		return nil, fmt.Errorf("not a v2 CPD snapshot")
-	}
-	if !nativeLittleEndian() {
-		return decodeV2(bufio.NewReader(bytes.NewReader(data)), uint64(len(data)))
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	if count == 0 || count > maxV2Entries {
-		return nil, fmt.Errorf("v2 snapshot claims %d sections", count)
-	}
-	tableEnd := uint64(v2HeaderLen) + count*v2EntryLen
-	if tableEnd > uint64(len(data)) {
-		return nil, fmt.Errorf("v2 section table truncated")
-	}
-	entries, err := parseV2Table(data[:v2HeaderLen], data[v2HeaderLen:tableEnd], uint64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	m := &core.Model{}
-	var seenDims bool
-	for _, ent := range entries {
-		payload := data[ent.off : ent.off+ent.size]
-		if err := aliasV2Section(m, ent.tag, payload, &seenDims); err != nil {
-			return nil, err
-		}
-	}
-	if !seenDims {
-		return nil, fmt.Errorf("snapshot is missing the dimension section")
-	}
-	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
-		return nil, fmt.Errorf("snapshot is missing parameter blocks")
-	}
-	if err := m.CheckShapes(); err != nil {
-		return nil, err
-	}
-	m.Rehydrate()
-	return m, nil
-}
 
 // aliasV2Section wires one section into the model, aliasing numeric data
 // in place. Only DOCB (int-width on disk vs. platform int) and the two

@@ -71,38 +71,16 @@ func OpenRawFile(path string) (*RawFile, error) {
 		return nil, fmt.Errorf("store: mapping %s: %w", path, err)
 	}
 	rf := &RawFile{path: path, data: data, mapped: mapped}
-	if err := rf.parse(); err != nil {
+	_, entries, err := readV2Head(bytes.NewReader(data), uint64(len(data)))
+	if err != nil {
 		rf.Close()
 		return nil, fmt.Errorf("store: opening %s: %w", path, err)
-	}
-	return rf, nil
-}
-
-func (rf *RawFile) parse() error {
-	data := rf.data
-	if len(data) < v2HeaderLen {
-		return fmt.Errorf("file shorter than a v2 header")
-	}
-	if string(data[:len(magicV2)]) != magicV2 {
-		return fmt.Errorf("not a v2 CPD snapshot")
-	}
-	count := binary.LittleEndian.Uint64(data[8:])
-	if count == 0 || count > maxV2Entries {
-		return fmt.Errorf("v2 snapshot claims %d sections", count)
-	}
-	tableEnd := uint64(v2HeaderLen) + count*v2EntryLen
-	if tableEnd > uint64(len(data)) {
-		return fmt.Errorf("v2 section table truncated")
-	}
-	entries, err := parseV2Table(data[:v2HeaderLen], data[v2HeaderLen:tableEnd], uint64(len(data)))
-	if err != nil {
-		return err
 	}
 	rf.sections = make([]RawSection, len(entries))
 	for i, ent := range entries {
 		rf.sections[i] = RawSection{Tag: ent.tag, Payload: data[ent.off : ent.off+ent.size]}
 	}
-	return nil
+	return rf, nil
 }
 
 // Sections returns the file's sections in table order. The payloads alias
@@ -227,39 +205,15 @@ type SectionSum struct {
 // path and returns each section's identity plus the total file size —
 // O(1) in the model size.
 func FileSections(path string) ([]SectionSum, int64, error) {
-	f, err := os.Open(path)
+	_, entries, size, err := readV2File(path)
 	if err != nil {
 		return nil, 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	hdr := make([]byte, v2HeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, 0, fmt.Errorf("store: %s: reading v2 header: %w", path, err)
-	}
-	if string(hdr[:len(magicV2)]) != magicV2 {
-		return nil, 0, fmt.Errorf("store: %s: not a v2 CPD snapshot", path)
-	}
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	if count == 0 || count > maxV2Entries {
-		return nil, 0, fmt.Errorf("store: %s: v2 snapshot claims %d sections", path, count)
-	}
-	table := make([]byte, count*v2EntryLen)
-	if _, err := io.ReadFull(f, table); err != nil {
-		return nil, 0, fmt.Errorf("store: %s: reading v2 section table: %w", path, err)
-	}
-	entries, err := parseV2Table(hdr, table, uint64(fi.Size()))
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %s: %w", path, err)
 	}
 	sums := make([]SectionSum, len(entries))
 	for i, ent := range entries {
 		sums[i] = SectionSum{Tag: ent.tag, Size: ent.size, CRC: ent.crc}
 	}
-	return sums, fi.Size(), nil
+	return sums, size, nil
 }
 
 // verifiedSidecar is the cached verification receipt VerifyV2FileCached
@@ -276,23 +230,6 @@ type verifiedSidecar struct {
 // verification receipt.
 const VerifiedSidecarSuffix = ".verified"
 
-// readTableCRC returns the stored table CRC from a v2 file's header.
-func readTableCRC(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	hdr := make([]byte, v2HeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return 0, err
-	}
-	if string(hdr[:len(magicV2)]) != magicV2 {
-		return 0, fmt.Errorf("store: %s: not a v2 CPD snapshot", path)
-	}
-	return binary.LittleEndian.Uint64(hdr[16:]), nil
-}
-
 // VerifyV2FileCached is VerifyV2File with a persistent receipt: a
 // successful full verification writes a ".verified" sidecar recording
 // the file's size, mtime and table CRC, and a later call whose stat and
@@ -306,22 +243,22 @@ func VerifyV2FileCached(path string) error {
 		return err
 	}
 	side := path + VerifiedSidecarSuffix
-	crc, crcErr := readTableCRC(path)
-	if crcErr == nil {
-		if raw, err := os.ReadFile(side); err == nil {
-			var sc verifiedSidecar
-			if json.Unmarshal(raw, &sc) == nil &&
-				sc.Size == fi.Size() && sc.MtimeUnixNano == fi.ModTime().UnixNano() && sc.TableCRC == crc {
-				return nil
-			}
+	hdr, _, _, err := readV2File(path)
+	if err != nil {
+		os.Remove(side)
+		return err
+	}
+	crc := binary.LittleEndian.Uint64(hdr[16:])
+	if raw, err := os.ReadFile(side); err == nil {
+		var sc verifiedSidecar
+		if json.Unmarshal(raw, &sc) == nil &&
+			sc.Size == fi.Size() && sc.MtimeUnixNano == fi.ModTime().UnixNano() && sc.TableCRC == crc {
+			return nil
 		}
 	}
 	if err := VerifyV2File(path); err != nil {
 		os.Remove(side)
 		return err
-	}
-	if crcErr != nil {
-		return nil // verified, but no receipt to record
 	}
 	if raw, err := json.Marshal(verifiedSidecar{
 		Size:          fi.Size(),

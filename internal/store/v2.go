@@ -57,6 +57,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/sparse"
@@ -399,6 +400,51 @@ type v2Entry struct {
 	crc  uint32
 }
 
+// readV2Head reads a v2 header and section table from r and validates
+// both (parseV2Table); size is the total input size when known (> 0).
+// Every v2 reader parses through it: the mapped and raw opens, the
+// copying decoder, the payload verifier and the table-only readers.
+func readV2Head(r io.Reader, size uint64) (hdr []byte, entries []v2Entry, err error) {
+	hdr = make([]byte, v2HeaderLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, nil, fmt.Errorf("store: reading v2 header: %w", err)
+	}
+	if string(hdr[:len(magicV2)]) != magicV2 {
+		if string(hdr[:6]) == magicV2[:6] {
+			return nil, nil, fmt.Errorf("store: snapshot is format version %d; Open requires v2 (retrain or re-save with -format v2, or load with LoadFile)", hdr[6])
+		}
+		return nil, nil, fmt.Errorf("store: not a v2 CPD snapshot")
+	}
+	count := binary.LittleEndian.Uint64(hdr[8:])
+	if count == 0 || count > maxV2Entries {
+		return nil, nil, fmt.Errorf("store: v2 snapshot claims %d sections", count)
+	}
+	table := make([]byte, count*v2EntryLen)
+	if _, err := io.ReadFull(r, table); err != nil {
+		return nil, nil, fmt.Errorf("store: reading v2 section table: %w", err)
+	}
+	entries, err = parseV2Table(hdr, table, size)
+	return hdr, entries, err
+}
+
+// readV2File reads only the header and section table of the v2 file at
+// path — O(1) in the model size — and returns them with the file size.
+func readV2File(path string) (hdr []byte, entries []v2Entry, size int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if hdr, entries, err = readV2Head(f, uint64(fi.Size())); err != nil {
+		return nil, nil, 0, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return hdr, entries, fi.Size(), nil
+}
+
 // parseV2Table validates the v2 header+table bytes (table CRC, entry
 // bounds, 64-byte alignment, ascending non-overlapping offsets) and
 // returns the entries. size is the total input size when known (> 0).
@@ -450,28 +496,13 @@ func parseV2Table(hdr, table []byte, size uint64) ([]v2Entry, error) {
 // path Load/LoadFile use so non-mmap callers (and big-endian hosts) read
 // v2 snapshots with the same guarantees as v1.
 func decodeV2(br *bufio.Reader, limit uint64) (*core.Model, error) {
-	head := make([]byte, v2HeaderLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("store: reading v2 header: %w", err)
-	}
-	if string(head[:len(magicV2)]) != magicV2 {
-		return nil, fmt.Errorf("store: not a v2 CPD snapshot")
-	}
-	count := binary.LittleEndian.Uint64(head[8:])
-	if count == 0 || count > maxV2Entries {
-		return nil, fmt.Errorf("store: v2 snapshot claims %d sections", count)
-	}
-	table := make([]byte, count*v2EntryLen)
-	if _, err := io.ReadFull(br, table); err != nil {
-		return nil, fmt.Errorf("store: reading v2 section table: %w", err)
-	}
-	entries, err := parseV2Table(head, table, limit)
+	_, entries, err := readV2Head(br, limit)
 	if err != nil {
 		return nil, err
 	}
 	m := &core.Model{}
 	var seenDims bool
-	pos := uint64(v2HeaderLen) + count*v2EntryLen
+	pos := uint64(v2HeaderLen) + uint64(len(entries))*v2EntryLen
 	d := &decoder{r: br, crc: crc32.NewIEEE(), scratch: make([]byte, 1<<15)}
 	for _, ent := range entries {
 		if ent.off < pos {

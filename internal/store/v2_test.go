@@ -140,6 +140,27 @@ func TestV2MappedOpen(t *testing.T) {
 	}
 }
 
+// TestV2ReadersNameOldFormatVersion: every v2 reader parses the header
+// through one function, so each rejects a v1 snapshot with the error that
+// names its format version instead of a bare "not a v2 snapshot".
+func TestV2ReadersNameOldFormatVersion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.v1.snap")
+	if err := Save(path, testModel(10, 3, 3, 40, 7)); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func() error{
+		"Open":         func() error { _, err := Open(path); return err },
+		"OpenRawFile":  func() error { _, err := OpenRawFile(path); return err },
+		"FileSections": func() error { _, _, err := FileSections(path); return err },
+		"VerifyV2File": func() error { return VerifyV2File(path) },
+	}
+	for name, read := range readers {
+		if err := read(); err == nil || !strings.Contains(err.Error(), "format version 1") {
+			t.Errorf("%s on a v1 snapshot: %v, want the format-version error", name, err)
+		}
+	}
+}
+
 // TestV2MappedOpenIsZeroCopy is the acceptance check for the zero-copy
 // claim: opening a v2 snapshot must allocate heap for the caches only,
 // not for the matrix payloads. The model is shaped so the matrices

@@ -25,7 +25,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"slices"
 	"time"
@@ -421,13 +420,14 @@ func mergeIDs(a, b []int32) []int32 {
 	return slices.Compact(a)
 }
 
-// pruneSnapshotsLocked deletes published snapshot files older than the
-// last KeepSnapshots generations. Retention works off a directory
-// listing rather than counting generations down from the cut: a gap in
-// the gen-%08d sequence (a failed publish rolled the generation back, or
-// a file was removed externally) must not shadow everything older than
-// it — counting down and stopping at the first missing file did exactly
-// that, leaving stale snapshots on disk forever.
+// pruneSnapshotsLocked deletes published snapshot files (and their
+// .verified sidecars) older than the last KeepSnapshots generations.
+// Retention works off a directory listing rather than counting
+// generations down from the cut: a gap in the gen-%08d sequence (a
+// failed publish rolled the generation back, or a file was removed
+// externally) must not shadow everything older than it — counting down
+// and stopping at the first missing file did exactly that, leaving stale
+// snapshots on disk forever.
 func (u *Updater) pruneSnapshotsLocked() {
 	if u.opts.Dir == "" || u.generation <= uint64(u.opts.KeepSnapshots) {
 		return
@@ -439,7 +439,7 @@ func (u *Updater) pruneSnapshotsLocked() {
 	}
 	for _, f := range files {
 		if f.Generation <= cut {
-			os.Remove(filepath.Join(u.opts.Dir, f.Name))
+			store.RemoveWithSidecar(filepath.Join(u.opts.Dir, f.Name))
 		}
 	}
 	if u.sharder != nil {

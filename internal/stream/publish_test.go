@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/socialgraph"
 	"repro/internal/store"
 )
@@ -286,6 +288,10 @@ func TestPruneSurvivesGenerationGap(t *testing.T) {
 		if err := os.WriteFile(store.GenPath(dir, gen), []byte("snap"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// A replica verifying the publisher dir in place leaves a receipt.
+		if err := os.WriteFile(store.GenPath(dir, gen)+store.VerifiedSidecarSuffix, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	u := &Updater{opts: Options{Dir: dir, KeepSnapshots: 3}}
 	u.generation = 10
@@ -301,6 +307,13 @@ func TestPruneSurvivesGenerationGap(t *testing.T) {
 	}
 	if want := []uint64{8, 9, 10}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("after pruning with a gap at 5: generations on disk = %v, want %v", got, want)
+	}
+	// Pruned generations take their .verified sidecars with them.
+	for gen := uint64(1); gen <= 10; gen++ {
+		_, err := os.Stat(store.GenPath(dir, gen) + store.VerifiedSidecarSuffix)
+		if kept := gen >= 8; kept != (err == nil) {
+			t.Fatalf("generation %d sidecar present = %v, want %v", gen, err == nil, kept)
+		}
 	}
 
 	// Below the keep threshold nothing is pruned (and nothing panics on
@@ -399,5 +412,42 @@ func TestFriendsOnlyPublishReusesDocSections(t *testing.T) {
 		&cur.DocTopic[0] != &prev.DocTopic[0] ||
 		&cur.DocBucket[0] != &prev.DocBucket[0] {
 		t.Fatal("friends-only publish rebuilt doc arrays instead of aliasing the last model's")
+	}
+}
+
+// TestOneShardGroupPublished pins Options.Shards == 1 as "publish a
+// 1-shard group", not "off": the group's one range covers every user and
+// joins back to the generation's full snapshot byte for byte.
+func TestOneShardGroupPublished(t *testing.T) {
+	g, m := testBase(t)
+	dir := t.TempDir()
+	_, _, u := newTestUpdater(t, g, m, func(o *Options) {
+		o.Dir = dir
+		o.Shards = 1
+	})
+	if _, err := u.Ingest(streamFixture(g, m)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := u.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gens, err := shard.ScanManifests(dir); err != nil || !reflect.DeepEqual(gens, []uint64{info.Generation}) {
+		t.Fatalf("shard manifests = %v, %v; want [%d]", gens, err, info.Generation)
+	}
+	joined := filepath.Join(t.TempDir(), "joined.v2.snap")
+	if err := shard.Join(dir, info.Generation, joined); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(store.GenPath(dir, info.Generation))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(joined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("1-shard group joins to %d bytes, full snapshot is %d", len(got), len(want))
 	}
 }

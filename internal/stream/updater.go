@@ -43,7 +43,7 @@ type Options struct {
 	// KeepSnapshots bounds how many published snapshot files are retained
 	// in Dir (default 3; older generations are pruned).
 	KeepSnapshots int
-	// Shards, when > 1 (and Dir is set), additionally publishes each
+	// Shards, when > 0 (and Dir is set), additionally publishes each
 	// generation as a sharded group (internal/shard): a CRC'd manifest, a
 	// global file and Shards per-user-range shard files, which
 	// shard-owning replicas fetch instead of the full snapshot. Shard
@@ -264,7 +264,7 @@ type Updater struct {
 	lastVersion uint64
 	manifest    *store.SectionManifest
 	pendingRows []int32
-	// sharder, when Options.Shards > 1, re-publishes each generation as a
+	// sharder, when Options.Shards > 0, re-publishes each generation as a
 	// sharded group next to the full snapshot file (hard-linking clean
 	// shard files across generations).
 	sharder *shard.Publisher
@@ -322,7 +322,10 @@ func NewUpdater(j *Journal, opts Options) (*Updater, error) {
 		foldPi: make(map[int32][]float64),
 		notify: make(chan struct{}, 1),
 	}
-	if opts.Shards > 1 {
+	if opts.Shards < 0 {
+		return nil, fmt.Errorf("stream: Options.Shards %d is negative", opts.Shards)
+	}
+	if opts.Shards > 0 {
 		if opts.Dir == "" {
 			return nil, fmt.Errorf("stream: Options.Shards needs Options.Dir")
 		}

@@ -379,6 +379,17 @@ func TestUpdaterValidation(t *testing.T) {
 	if j.Events() != 0 || u.Pending() != 0 {
 		t.Fatal("failed batch left partial state behind")
 	}
+	// A negative shard count is a config error, not "sharding off".
+	j2, err := OpenJournal(filepath.Join(t.TempDir(), "events.wal"), JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	engine := serve.New(m, nil, serve.Options{})
+	defer engine.Close()
+	if _, err := NewUpdater(j2, Options{Engine: engine, Base: m, Dir: t.TempDir(), Shards: -1}); err == nil {
+		t.Fatal("negative Options.Shards accepted")
+	}
 }
 
 func TestIngestHTTPAndDrain(t *testing.T) {
