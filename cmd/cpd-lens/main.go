@@ -1,9 +1,9 @@
 // Command cpd-lens serves the SocialLens companion system (the paper's
 // footnote 1): an interactive HTTP service for browsing communities by
 // content and interaction — community profiles, profile-driven ranking and
-// the Fig. 7 diffusion graphs. The browser UI runs on a serve.Engine, so
-// the model can be hot-swapped without restarting (see cmd/cpd-serve for
-// the headless API, which shares the engine design).
+// the Fig. 7 diffusion graphs. The browser page is mounted on the same
+// JSON API cmd/cpd-serve exposes (serve.APIHandler, without reload), plus
+// /api/graph for the diffusion graphs.
 //
 // Usage:
 //
@@ -11,8 +11,8 @@
 //	cpd-lens -demo               # train on a synthetic network and serve it
 //	cpd-lens -demo -quality      # print the structural quality table and exit
 //
-// -model accepts both the binary snapshot format (internal/store) and the
-// legacy JSON format. The server shuts down gracefully on SIGINT/SIGTERM,
+// -model reads any snapshot internal/store loads (v2, or the older v1 and
+// JSON encodings). The server shuts down gracefully on SIGINT/SIGTERM,
 // draining in-flight requests.
 //
 // -quality prints the model's structural quality report as a metric-rows ×
@@ -48,7 +48,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cpd-lens: ")
 	var (
-		modelPath  = flag.String("model", "", "trained model file (binary snapshot or JSON)")
+		modelPath  = flag.String("model", "", "trained model file (v2 snapshot; v1 and JSON also load)")
 		vocabPath  = flag.String("vocab", "", "vocabulary file")
 		graphPath  = flag.String("graph", "", "training graph; gives -quality friendship edges to score")
 		addr       = flag.String("addr", ":8080", "listen address")

@@ -164,9 +164,9 @@ func TestServingPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Snapshot to disk in the binary format, reload, serve.
+	// Snapshot to disk in the v2 format, reload, serve.
 	snapPath := filepath.Join(dir, "model.snap")
-	if err := store.Save(snapPath, model); err != nil {
+	if err := store.SaveV2(snapPath, model); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.LoadFile(snapPath)

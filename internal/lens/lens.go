@@ -1,109 +1,49 @@
 // Package lens is the reproduction of the paper's SocialLens companion
 // system (footnote 1 / reference [4]): an interactive service for browsing
-// communities by both content and interaction. It is a thin HTTP/HTML
-// facade over serve.Engine — community summaries (content profile,
-// attribute profile, openness, members), profile-driven ranking for
-// free-text queries (Eq. 19) and the Fig. 7 diffusion graphs, plus a
-// minimal embedded browser page. The lens owns no model state: the engine
-// holds the live snapshot, so a hot-swap (serve.Engine.Reload) propagates
-// to the lens without restarting it. Everything is stdlib net/http.
+// communities by both content and interaction. It is one HTML page plus
+// the Fig. 7 diffusion graph (/api/graph), mounted on serve's JSON API
+// (serve.APIHandler), which answers every other query — community
+// summaries and profiles, profile-driven ranking for free-text queries
+// (Eq. 19), stats. The lens owns no model state: the engine holds the live
+// snapshot, so a hot-swap (serve.Engine.Reload) propagates to the lens
+// without restarting it. Everything is stdlib net/http.
 package lens
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/serve"
 )
 
-// Server wires a serve.Engine into an http.Handler.
-type Server struct {
-	engine *serve.Engine
-	mux    *http.ServeMux
+// New returns the lens handler over an engine: the page at "/", the
+// diffusion graph at /api/graph, and serve.APIHandler (without reload)
+// for every other path. The engine's snapshot may or may not carry a
+// vocabulary — without one, labels are numeric and text queries answer
+// 501.
+func New(engine *serve.Engine) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", serve.APIHandler(engine, nil))
+	mux.HandleFunc("/{$}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		fmt.Fprint(w, indexHTML)
+	})
+	mux.HandleFunc("/api/graph", func(w http.ResponseWriter, r *http.Request) {
+		handleGraph(engine, w, r)
+	})
+	return mux
 }
 
-// New builds the server over an engine (see serve.New; the engine's
-// snapshot may or may not carry a vocabulary — without one, labels are
-// numeric and text queries answer 501).
-func New(engine *serve.Engine) *Server {
-	s := &Server{engine: engine, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/api/communities", s.handleCommunities)
-	s.mux.HandleFunc("/api/community", s.handleCommunity)
-	s.mux.HandleFunc("/api/rank", s.handleRank)
-	s.mux.HandleFunc("/api/graph", s.handleGraph)
-	s.mux.HandleFunc("/api/stats", s.handleStats)
-	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (s *Server) handleCommunities(w http.ResponseWriter, r *http.Request) {
-	out := s.engine.Communities()
-	sort.Slice(out, func(i, j int) bool { return out[i].Members > out[j].Members })
-	s.writeJSON(w, out)
-}
-
-func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
-	c, err := strconv.Atoi(r.URL.Query().Get("id"))
-	if err != nil {
-		http.Error(w, "bad or missing community id", http.StatusBadRequest)
-		return
-	}
-	detail, err := s.engine.Community(c)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.writeJSON(w, detail)
-}
-
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
-	if q == "" {
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
-		return
-	}
-	k := 10
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		if v, err := strconv.Atoi(kq); err == nil && v > 0 {
-			k = v
-		}
-	}
-	res, err := s.engine.RankText(q, k)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, serve.ErrNoVocabulary) {
-			status = http.StatusNotImplemented
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	s.writeJSON(w, res.Entries)
-}
-
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
+// handleGraph serves the Fig. 7 diffusion graph of one topic (-1: all
+// topics) as JSON, or as Graphviz DOT with ?format=dot. serve has no
+// equivalent endpoint.
+func handleGraph(engine *serve.Engine, w http.ResponseWriter, r *http.Request) {
 	// One coherent snapshot for the whole request, pinned so a concurrent
 	// hot-swap cannot unmap a mapped model while the graph is built.
-	v, release, err := s.engine.Acquire()
+	v, release, err := engine.Acquire()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -119,31 +59,24 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		topic = t
 	}
 	dg := apps.BuildDiffusionGraph(v.Model, v.Vocab, topic)
-	switch r.URL.Query().Get("format") {
-	case "dot":
+	if r.URL.Query().Get("format") == "dot" {
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
 		if err := dg.WriteDOT(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-	default:
-		s.writeJSON(w, dg)
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, s.engine.Stats())
-}
-
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, indexHTML)
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(dg); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
-// indexHTML is a minimal single-page browser over the API.
+// indexHTML is a minimal single-page browser over serve's API: it reads
+// /api/communities (sorted by size here) and RankResult.entries from
+// /api/rank.
 const indexHTML = `<!DOCTYPE html>
 <html><head><title>SocialLens — community profiles</title>
 <style>
@@ -158,13 +91,14 @@ input{padding:4px;width:20em}pre{background:#f6f6f6;padding:1em;overflow:auto}
 <script>
 async function load(){
   const cs = await (await fetch('/api/communities')).json();
+  cs.sort((a,b)=>b.members-a.members);
   render('<h2>Communities</h2>', cs);
 }
 async function rank(){
   const q = document.getElementById('q').value;
   const r = await fetch('/api/rank?q='+encodeURIComponent(q));
   if(!r.ok){document.getElementById('out').textContent = await r.text();return;}
-  render('<h2>Top communities for "'+q+'"</h2>', await r.json());
+  render('<h2>Top communities for "'+q+'"</h2>', (await r.json()).entries || []);
 }
 function render(title, rows){
   if(!rows.length){document.getElementById('out').textContent='no data';return;}

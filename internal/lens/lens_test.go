@@ -15,11 +15,11 @@ import (
 
 var (
 	once sync.Once
-	srv  *Server
-	bare *Server // no vocabulary
+	srv  http.Handler
+	bare http.Handler // no vocabulary
 )
 
-func testServer(t *testing.T) (*Server, *Server) {
+func testServer(t *testing.T) (http.Handler, http.Handler) {
 	t.Helper()
 	once.Do(func() {
 		cfg := synth.TwitterLike(150, 77)
@@ -51,6 +51,13 @@ func TestIndexPage(t *testing.T) {
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "SocialLens") {
 		t.Fatalf("index: code=%d", rec.Code)
 	}
+	// The page reads serve's shapes: the ranking's entries, and the
+	// community list sorted by size on the client.
+	for _, want := range []string{".entries", "b.members-a.members"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("index page does not read serve's shapes: missing %q", want)
+		}
+	}
 	if get(t, s, "/nope").Code != http.StatusNotFound {
 		t.Fatal("unknown path not 404")
 	}
@@ -62,21 +69,23 @@ func TestCommunitiesEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d", rec.Code)
 	}
-	var out []map[string]any
+	// serve's shape, in community-id order (the page sorts by size).
+	var out []serve.CommunitySummary
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 8 {
 		t.Fatalf("got %d communities", len(out))
 	}
-	// Sorted by member count descending.
-	prev := int(out[0]["members"].(float64))
-	for _, c := range out[1:] {
-		cur := int(c["members"].(float64))
-		if cur > prev {
-			t.Fatal("communities not sorted by size")
+	total := 0
+	for i, c := range out {
+		if c.ID != i {
+			t.Fatalf("community %d listed as id %d", i, c.ID)
 		}
-		prev = cur
+		total += c.Members
+	}
+	if total == 0 {
+		t.Fatal("no community has members")
 	}
 }
 
@@ -110,12 +119,12 @@ func TestRankEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d: %s", rec.Code, rec.Body.String())
 	}
-	var out []map[string]any
+	var out serve.RankResult
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 {
-		t.Fatalf("got %d results", len(out))
+	if len(out.Entries) != 3 {
+		t.Fatalf("got %d results", len(out.Entries))
 	}
 	if get(t, s, "/api/rank").Code != http.StatusBadRequest {
 		t.Fatal("empty query accepted")
@@ -134,11 +143,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code %d", rec.Code)
 	}
-	var stats map[string]map[string]any
+	var stats serve.StatsReport
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := stats["rank"]; !ok {
+	if _, ok := stats.Endpoints["rank"]; !ok {
 		t.Fatal("stats missing rank endpoint")
 	}
 }

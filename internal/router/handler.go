@@ -539,7 +539,8 @@ func mergeRank(answers []*serve.RankResult, k int) *serve.RankResult {
 // (/api/pirow) and POSTs the row-carrying variant to u's owner; a
 // generation mismatch between the row and the scoring replica — a
 // rollout racing the query — retries up to three times rather than mix
-// rows from two generations.
+// rows from two generations. Either way the answer's process-local
+// version is zeroed, as on the scatter path.
 func (rt *Router) diffusionSharded(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	var reqErr error
@@ -554,30 +555,28 @@ func (rt *Router) diffusionSharded(w http.ResponseWriter, req *http.Request) {
 	}
 	bucket := intParam(req, "bucket", -1)
 	chain := rt.userChain(int64(u))
-	if in := chain[0].shard.Load(); in != nil && in.Owns(u) && in.Owns(v) {
-		status, body, err := rt.ownerFetch(req.Context(), chain, http.MethodGet, req.URL.Path+"?"+req.URL.RawQuery, nil)
-		if err != nil {
-			reqErr = err
-			http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
-			return
-		}
-		relayBytes(w, status, body)
-		return
-	}
+	in := chain[0].shard.Load()
+	sameShard := in != nil && in.Owns(u) && in.Owns(v)
 	for try := 0; try < 3; try++ {
-		vres, err := rt.fetchPiRow(req.Context(), int64(v))
-		if err != nil {
-			reqErr = err
-			http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
-			return
+		method, path, body := http.MethodGet, req.URL.Path+"?"+req.URL.RawQuery, []byte(nil)
+		var rowGen uint64
+		if !sameShard {
+			vres, err := rt.fetchPiRow(req.Context(), int64(v))
+			if err != nil {
+				reqErr = err
+				http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
+				return
+			}
+			rowGen = vres.Generation
+			body, err = json.Marshal(serve.DiffusionRowsRequest{U: u, V: v, Topic: z, Bucket: bucket, VRow: vres.Row})
+			if err != nil {
+				reqErr = err
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			method, path = http.MethodPost, "/api/diffusion"
 		}
-		body, err := json.Marshal(serve.DiffusionRowsRequest{U: u, V: v, Topic: z, Bucket: bucket, VRow: vres.Row})
-		if err != nil {
-			reqErr = err
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		status, respBody, err := rt.ownerFetch(req.Context(), chain, http.MethodPost, "/api/diffusion", body)
+		status, respBody, err := rt.ownerFetch(req.Context(), chain, method, path, body)
 		if err != nil {
 			reqErr = err
 			http.Error(w, "router: "+err.Error(), http.StatusBadGateway)
@@ -593,7 +592,7 @@ func (rt *Router) diffusionSharded(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		if res.Generation == vres.Generation {
+		if sameShard || res.Generation == rowGen {
 			res.Version = 0 // process-local backend counter; meaningless here
 			writeJSON(w, &res)
 			return

@@ -12,17 +12,19 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // fakeReplica is a scripted backend: it answers /api/generation with its
 // current generation and /api/rank, /api/user, /api/foldin with canned
 // payloads, recording which paths it saw.
 type fakeReplica struct {
-	name string
-	gen  uint64
-	rank serve.RankResult
-	srv  *httptest.Server
-	hits []string
+	name  string
+	gen   uint64
+	shard *shard.Info // advertised on /api/generation; nil = full replica
+	rank  serve.RankResult
+	srv   *httptest.Server
+	hits  []string
 }
 
 func newFakeReplica(t *testing.T, name string, gen uint64, entries []serve.RankEntry) *fakeReplica {
@@ -35,11 +37,13 @@ func newFakeReplica(t *testing.T, name string, gen uint64, entries []serve.RankE
 		w.Header().Set("Content-Type", "application/json")
 		switch r.URL.Path {
 		case "/api/generation":
-			fmt.Fprintf(w, `{"generation": %d}`, f.gen)
+			json.NewEncoder(w).Encode(serve.GenerationReport{Generation: f.gen, Shard: f.shard})
 		case "/api/rank":
 			json.NewEncoder(w).Encode(f.rank)
 		case "/api/diffusion":
 			json.NewEncoder(w).Encode(serve.DiffusionResult{Version: 3, Generation: f.gen, Logit: float64(f.gen), Prob: 0.5})
+		case "/api/pirow":
+			json.NewEncoder(w).Encode(serve.PiRowResult{Version: 3, Generation: f.gen, Row: []float64{1}})
 		case "/api/user", "/api/foldin":
 			fmt.Fprintf(w, `{"replica": %q}`, f.name)
 		default:
@@ -448,5 +452,49 @@ func TestOwnerRoutingFailover(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad id: status %d", resp.StatusCode)
+	}
+}
+
+// On a sharded fleet neither diffusion path may relay a backend's
+// process-local version: a pair inside one shard is forwarded to its
+// owner, a cross-shard pair is scored from a fetched row, and both
+// answers must carry version 0 like the scatter path's.
+func TestShardedDiffusionZeroesVersion(t *testing.T) {
+	s0 := newFakeReplica(t, "s0", 5, nil)
+	s1 := newFakeReplica(t, "s1", 5, nil)
+	s0.shard = &shard.Info{Index: 0, Count: 2, UserLo: 0, UserHi: 10, TotalUsers: 20}
+	s1.shard = &shard.Info{Index: 1, Count: 2, UserLo: 10, UserHi: 20, TotalUsers: 20}
+	rt := newTestRouter(t, s0, s1)
+	rt.PollReplicas()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	for _, c := range []struct {
+		name, query string
+		s1Path      string // the request the pair sends to shard 1
+	}{
+		{"same-shard", "u=1&v=2&topic=0", ""},
+		{"cross-shard", "u=1&v=15&topic=0", "/api/pirow"},
+	} {
+		before := len(s1.hits)
+		resp, err := http.Get(front.URL + "/api/diffusion?" + c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res serve.DiffusionResult
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v", c.name, resp.StatusCode, err)
+		}
+		if res.Generation != 5 || res.Prob != 0.5 {
+			t.Fatalf("%s: answer %+v, want shard 0's", c.name, res)
+		}
+		if res.Version != 0 {
+			t.Fatalf("%s: answer leaked the backend's process-local version %d", c.name, res.Version)
+		}
+		if got := strings.Join(s1.hits[before:], ","); got != c.s1Path {
+			t.Fatalf("%s: shard 1 saw %q, want %q", c.name, got, c.s1Path)
+		}
 	}
 }

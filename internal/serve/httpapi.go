@@ -16,9 +16,8 @@ import (
 	"repro/internal/shard"
 )
 
-// APIHandler exposes the engine's typed query API as a JSON HTTP surface —
-// the headless counterpart of the lens browser UI, served by
-// cmd/cpd-serve:
+// APIHandler exposes the engine's typed query API as a JSON HTTP surface,
+// served by cmd/cpd-serve and, under its browser page, by internal/lens:
 //
 //	GET  /api/communities                       community summaries
 //	GET  /api/community?id=3                    full community profile

@@ -223,6 +223,12 @@ func (f *Fetcher) poll() (uint64, error) {
 	}
 	promote, err := f.verify(dir, latest)
 	if err != nil {
+		if f.http {
+			// materialize reuses cached files, so a bad download must go
+			// or it would fail verification on every poll until a newer
+			// generation is published.
+			f.removeCached(latest)
+		}
 		return 0, fmt.Errorf("verifying generation %d: %w", latest, err)
 	}
 	for _, gf := range f.files(dir, latest) {
@@ -305,7 +311,7 @@ func (f *Fetcher) discover() (uint64, error) {
 
 // materialize downloads generation gen's files into the cache dir.
 // Already-downloaded files are reused; verify re-checks every CRC either
-// way.
+// way, and poll drops a generation that fails it.
 func (f *Fetcher) materialize(gen uint64) error {
 	for _, gf := range f.files(f.opts.Dir, gen) {
 		if _, err := os.Stat(gf.path); err == nil {
@@ -407,9 +413,15 @@ func (f *Fetcher) pruneCache(latest uint64) {
 		if gen > cut {
 			break
 		}
-		for _, gf := range f.files(f.opts.Dir, gen) {
-			store.RemoveWithSidecar(gf.path)
-		}
+		f.removeCached(gen)
+	}
+}
+
+// removeCached deletes generation gen's files from the cache dir, each
+// together with its .verified sidecar.
+func (f *Fetcher) removeCached(gen uint64) {
+	for _, gf := range f.files(f.opts.Dir, gen) {
+		store.RemoveWithSidecar(gf.path)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,6 +204,55 @@ func TestFetcherCacheRetentionRemovesSidecars(t *testing.T) {
 	want := []string{newest, newest + store.VerifiedSidecarSuffix}
 	if got := cacheNames(t, cache); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cache after retention = %v, want %v", got, want)
+	}
+}
+
+// TestFetcherRedownloadsCorruptCache: a download that fails verification
+// must not stay in the cache. The source serves corrupt bytes for
+// generation 1 once and the good bytes after that; the second poll must
+// fetch again and promote, instead of re-verifying the bad cached copy.
+func TestFetcherRedownloadsCorruptCache(t *testing.T) {
+	pub := t.TempDir()
+	good, err := os.ReadFile(publishGen(t, pub, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var downloads atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("/api/generations", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"generation": 1}`)
+	})
+	mux.HandleFunc("/api/generations/file", func(w http.ResponseWriter, r *http.Request) {
+		data := append([]byte(nil), good...)
+		if downloads.Add(1) == 1 {
+			data[len(data)-8] ^= 0xFF
+		}
+		w.Write(data)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	cache := t.TempDir()
+	e := NewMulti(Options{Mmap: true})
+	defer e.Close()
+	f, err := NewFetcher(e, FetchOptions{Source: srv.URL, Dir: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen, err := f.Poll(); err == nil {
+		t.Fatalf("corrupt download promoted (gen=%d)", gen)
+	}
+	if names := cacheNames(t, cache); len(names) != 0 {
+		t.Fatalf("cache after a failed verify = %v, want empty", names)
+	}
+	if gen, err := f.Poll(); gen != 1 || err != nil {
+		t.Fatalf("poll after the source healed = %d, %v; want 1", gen, err)
+	}
+	if n := downloads.Load(); n != 2 {
+		t.Fatalf("%d downloads, want 2 (the corrupt copy re-fetched once)", n)
+	}
+	if res, err := e.Membership(0, 3); err != nil || res.Generation != 1 {
+		t.Fatalf("membership after the re-fetch = %+v, %v", res, err)
 	}
 }
 

@@ -8,19 +8,16 @@ import (
 // FuzzLoad throws arbitrary bytes at the snapshot loader. The invariants:
 // never panic, never allocate beyond what the input length can back
 // (LoadBytes bounds section claims by len(data)), and any input accepted
-// as a model must be internally consistent enough to re-encode.
+// as a model must be internally consistent enough to re-encode through
+// the v2 writer.
 //
-// The corpus seeds the interesting neighbourhoods by construction: a
-// valid binary snapshot, truncations at section boundaries, single-bit
+// The corpus seeds the interesting neighbourhoods by construction: the
+// committed v1 fixture, truncations at section boundaries, single-bit
 // corruptions (caught by the CRCs), a forged section length, and a valid
 // JSON model for the sniffing path.
 func FuzzLoad(f *testing.F) {
 	m := testModel(12, 4, 5, 40, 3)
-	var snap bytes.Buffer
-	if err := Encode(&snap, m); err != nil {
-		f.Fatal(err)
-	}
-	valid := snap.Bytes()
+	valid := fixture(f, "golden-v1.snap")
 	f.Add(valid)
 	f.Add(valid[:8])              // magic only
 	f.Add(valid[:len(valid)/2])   // mid-section truncation
@@ -44,10 +41,10 @@ func FuzzLoad(f *testing.F) {
 	}
 	validV2 := v2.Bytes()
 	f.Add(validV2)
-	f.Add(validV2[:v2HeaderLen])     // header only
-	f.Add(validV2[:v2HeaderLen+40])  // mid-table truncation
-	f.Add(validV2[:len(validV2)/2])  // mid-payload truncation
-	f.Add(validV2[:len(validV2)-1])  // last payload byte missing
+	f.Add(validV2[:v2HeaderLen])    // header only
+	f.Add(validV2[:v2HeaderLen+40]) // mid-table truncation
+	f.Add(validV2[:len(validV2)/2]) // mid-payload truncation
+	f.Add(validV2[:len(validV2)-1]) // last payload byte missing
 	v2flip := append([]byte(nil), validV2...)
 	v2flip[v2HeaderLen+10] ^= 0x20 // table entry offset byte
 	f.Add(v2flip)
@@ -73,7 +70,7 @@ func FuzzLoad(f *testing.F) {
 			t.Fatal("nil model with nil error")
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, loaded); err != nil {
+		if err := EncodeV2(&buf, loaded); err != nil {
 			t.Fatalf("accepted model does not re-encode: %v", err)
 		}
 	})

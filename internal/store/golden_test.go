@@ -9,9 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// updateGolden regenerates the committed snapshot fixtures. Run after a
-// DELIBERATE format change only — the whole point of the fixtures is that
-// old files keep loading byte-identically through new code:
+// updateGolden regenerates the committed v2 and JSON snapshot fixtures.
+// Run after a DELIBERATE format change only — the whole point of the
+// fixtures is that old files keep loading byte-identically through new
+// code. The v1 fixtures (golden-v1.snap, empty-v1.snap) are frozen:
+// nothing writes v1 any more, so no flag can regenerate them.
 //
 //	go test ./internal/store -run TestGoldenFixtures -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite the committed snapshot fixtures")
@@ -35,9 +37,6 @@ func TestGoldenFixtures(t *testing.T) {
 	m := goldenModel()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := Save(goldenPath("golden-v1.snap"), m); err != nil {
 			t.Fatal(err)
 		}
 		if err := SaveV2(goldenPath("golden-v2.snap"), m); err != nil {

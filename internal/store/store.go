@@ -1,16 +1,17 @@
 // Package store implements the serving subsystem's model snapshot
-// formats: a versioned binary encoding of core.Model in two layouts —
-// the v1 streaming codec below, and the mmap-ready v2 layout (see v2.go)
+// format: the mmap-ready v2 binary layout of core.Model (see v2.go),
 // whose 64-byte-aligned sections store.Open serves zero-copy through a
-// MappedModel. Loading a large model from a v1 binary snapshot is
-// roughly an order of magnitude faster than the encoding/json path
-// core.Model.Save uses, and a v2 mapped open is O(1) in model size on
-// top of that (BenchmarkSnapshotLoad), which is what makes zero-downtime
-// hot-swapping of big models practical in serve.Engine. The JSON format
-// remains readable through Load, which sniffs the file's leading bytes.
-// SaveV2Reusing (v2reuse.go) writes a v2 snapshot while splicing
-// unchanged sections byte-for-byte out of a previous snapshot file — the
-// store half of the streaming publisher's O(changed) publish path.
+// MappedModel. SaveV2 is the only writer. A v2 mapped open is O(1) in
+// model size (BenchmarkSnapshotLoad), which is what makes zero-downtime
+// hot-swapping of big models practical in serve.Engine. SaveV2Reusing
+// (v2reuse.go) writes a v2 snapshot while splicing unchanged sections
+// byte-for-byte out of a previous snapshot file — the store half of the
+// streaming publisher's O(changed) publish path.
+//
+// Load, LoadBytes and LoadFile sniff the leading bytes and also read the
+// two older encodings: the v1 streaming codec below and the JSON of
+// core.Model.Save. Nothing writes v1 any more; its decoder stays for
+// files already on disk, pinned by the committed fixtures in testdata/.
 //
 // v1 layout:
 //
@@ -75,185 +76,6 @@ const (
 	maxSectionBytes = 1 << 32
 	maxDim          = 1 << 28
 )
-
-// Encode writes m as a binary snapshot.
-func Encode(w io.Writer, m *core.Model) error {
-	if m.Pi == nil || m.Theta == nil || m.Phi == nil || m.Eta == nil {
-		return fmt.Errorf("store: model is missing parameter blocks")
-	}
-	e := &encoder{
-		w:       bufio.NewWriterSize(w, 1<<16),
-		crc:     crc32.NewIEEE(),
-		scratch: make([]byte, 1<<15),
-	}
-	if _, err := e.w.WriteString(magic); err != nil {
-		return fmt.Errorf("store: writing magic: %w", err)
-	}
-
-	cfgJSON, err := json.Marshal(m.Cfg)
-	if err != nil {
-		return fmt.Errorf("store: encoding config: %w", err)
-	}
-	e.section(tagConfig, uint64(len(cfgJSON)), func() { e.raw(cfgJSON) })
-	e.section(tagDims, 4*8, func() {
-		e.u64(uint64(m.NumUsers))
-		e.u64(uint64(m.NumWords))
-		e.u64(uint64(m.NumBuckets))
-		e.u64(uint64(m.NumAttrs))
-	})
-	e.dense(tagPi, m.Pi)
-	e.dense(tagTheta, m.Theta)
-	e.dense(tagPhi, m.Phi)
-	e.tensor(tagEta, m.Eta)
-	e.section(tagNu, 8+8*uint64(len(m.Nu)), func() {
-		e.u64(uint64(len(m.Nu)))
-		e.floats(m.Nu)
-	})
-	if m.PopFreq != nil {
-		e.dense(tagPop, m.PopFreq)
-	}
-	if m.Xi != nil {
-		e.dense(tagXi, m.Xi)
-	}
-	e.ints32(tagDocC, m.DocCommunity)
-	e.ints32(tagDocZ, m.DocTopic)
-	e.section(tagDocB, 8+8*uint64(len(m.DocBucket)), func() {
-		e.u64(uint64(len(m.DocBucket)))
-		k := 0
-		for _, v := range m.DocBucket {
-			binary.LittleEndian.PutUint64(e.scratch[k:], uint64(int64(v)))
-			k += 8
-			if k == len(e.scratch) {
-				e.raw(e.scratch)
-				k = 0
-			}
-		}
-		if k > 0 {
-			e.raw(e.scratch[:k])
-		}
-	})
-	e.section(tagEnd, 0, func() {})
-	if e.err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", e.err)
-	}
-	if err := e.w.Flush(); err != nil {
-		return fmt.Errorf("store: flushing snapshot: %w", err)
-	}
-	return nil
-}
-
-type encoder struct {
-	w       *bufio.Writer
-	crc     hash.Hash32
-	scratch []byte
-	err     error
-}
-
-// section writes one section: header, the payload produced by body (which
-// must write exactly payloadLen bytes through the e.raw/e.u64/e.floats
-// helpers), and the payload CRC. Sections beyond the format's size limit
-// are rejected at encode time — writing a snapshot Decode would refuse to
-// read helps nobody.
-func (e *encoder) section(tag string, payloadLen uint64, body func()) {
-	if e.err != nil {
-		return
-	}
-	if len(tag) != 4 {
-		panic("store: section tag must be 4 bytes")
-	}
-	if payloadLen > maxSectionBytes {
-		e.err = fmt.Errorf("section %q needs %d payload bytes, above the format's %d-byte section limit", tag, payloadLen, uint64(maxSectionBytes))
-		return
-	}
-	e.crc.Reset()
-	if _, err := e.w.WriteString(tag); err != nil {
-		e.err = err
-		return
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], payloadLen)
-	if _, err := e.w.Write(hdr[:]); err != nil {
-		e.err = err
-		return
-	}
-	body()
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], e.crc.Sum32())
-	if _, err := e.w.Write(tail[:]); err != nil {
-		e.err = err
-	}
-}
-
-// raw writes payload bytes, feeding the running CRC.
-func (e *encoder) raw(p []byte) {
-	if e.err != nil {
-		return
-	}
-	if _, err := e.w.Write(p); err != nil {
-		e.err = err
-		return
-	}
-	e.crc.Write(p)
-}
-
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.raw(b[:])
-}
-
-// floats streams a float64 slice through the scratch buffer.
-func (e *encoder) floats(xs []float64) {
-	k := 0
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(e.scratch[k:], math.Float64bits(x))
-		k += 8
-		if k == len(e.scratch) {
-			e.raw(e.scratch)
-			k = 0
-		}
-	}
-	if k > 0 {
-		e.raw(e.scratch[:k])
-	}
-}
-
-func (e *encoder) dense(tag string, m *sparse.Dense) {
-	e.section(tag, 2*8+8*uint64(len(m.Data)), func() {
-		e.u64(uint64(m.Rows))
-		e.u64(uint64(m.Cols))
-		e.floats(m.Data)
-	})
-}
-
-func (e *encoder) tensor(tag string, t *sparse.Tensor3) {
-	e.section(tag, 3*8+8*uint64(len(t.Data)), func() {
-		e.u64(uint64(t.D1))
-		e.u64(uint64(t.D2))
-		e.u64(uint64(t.D3))
-		e.floats(t.Data)
-	})
-}
-
-func (e *encoder) ints32(tag string, xs []int32) {
-	e.section(tag, 8+4*uint64(len(xs)), func() {
-		k := 0
-		var hdr [8]byte
-		binary.LittleEndian.PutUint64(hdr[:], uint64(len(xs)))
-		e.raw(hdr[:])
-		for _, x := range xs {
-			binary.LittleEndian.PutUint32(e.scratch[k:], uint32(x))
-			k += 4
-			if k == len(e.scratch) {
-				e.raw(e.scratch)
-				k = 0
-			}
-		}
-		if k > 0 {
-			e.raw(e.scratch[:k])
-		}
-	})
-}
 
 // Decode reads a binary snapshot in either binary version (v1 stream or
 // v2 section table — sniffed from the version byte), verifies every
@@ -658,13 +480,6 @@ func LoadFile(path string) (*core.Model, error) {
 		return nil, fmt.Errorf("store: loading %s: %w", path, err)
 	}
 	return m, nil
-}
-
-// Save writes m to path as a v1 binary snapshot, atomically and crash-
-// safely (see saveAtomic). SaveV2 writes the mmap-ready v2 layout with the
-// same discipline.
-func Save(path string, m *core.Model) error {
-	return saveAtomic(path, func(w io.Writer) error { return Encode(w, m) })
 }
 
 // saveAtomic writes a snapshot produced by encode to path through a

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
@@ -113,18 +112,35 @@ func modelsEquivalent(t *testing.T, a, b *core.Model) {
 	}
 }
 
-func encodeToBytes(t *testing.T, m *core.Model) []byte {
+// fixture returns the committed snapshot fixture testdata/name. Nothing
+// in the tree writes v1 any more, so every v1-decoder test reads or
+// mutates these bytes.
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Encode(&buf, m); err != nil {
+	raw, err := os.ReadFile(goldenPath(name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return raw
+}
+
+// emptyModel is the zero-user model testdata/empty-v1.snap encodes.
+func emptyModel() *core.Model {
+	m := &core.Model{
+		Cfg:     core.Config{NumCommunities: 2, NumTopics: 2}.WithDefaults(),
+		Pi:      sparse.NewDense(0, 2),
+		Theta:   sparse.NewDense(2, 2),
+		Phi:     sparse.NewDense(2, 0),
+		Eta:     sparse.NewTensor3(2, 2, 2),
+		PopFreq: sparse.NewDense(0, 2),
+	}
+	m.Rehydrate()
+	return m
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	m := testModel(40, 6, 5, 120, 1)
-	got, err := Decode(bytes.NewReader(encodeToBytes(t, m)))
+	m := goldenModel()
+	got, err := Decode(bytes.NewReader(fixture(t, "golden-v1.snap")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,54 +158,52 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryRoundTripWithAttributes(t *testing.T) {
-	m := testModel(25, 5, 4, 80, 2)
-	attachAttrs(m, 9, 3)
-	got, err := Decode(bytes.NewReader(encodeToBytes(t, m)))
+	got, err := Decode(bytes.NewReader(fixture(t, "golden-v1.snap")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsEquivalent(t, m, got)
+	if got.NumAttrs != 6 || got.Xi == nil {
+		t.Fatalf("attribute block lost: NumAttrs=%d Xi=%v", got.NumAttrs, got.Xi != nil)
+	}
+	modelsEquivalent(t, goldenModel(), got)
 }
 
-// TestJSONBinaryEquivalence feeds both encodings of the same model through
-// the sniffing Load and requires identical models back.
+// TestJSONBinaryEquivalence feeds the JSON, v1 and v2 encodings of the
+// same model through the sniffing Load and requires identical models back.
 func TestJSONBinaryEquivalence(t *testing.T) {
-	m := testModel(30, 5, 4, 100, 4)
-	var jsonBuf bytes.Buffer
-	if err := m.Save(&jsonBuf); err != nil {
-		t.Fatal(err)
+	m := goldenModel()
+	inputs := map[string][]byte{
+		"json": fixture(t, "golden.json"),
+		"v1":   fixture(t, "golden-v1.snap"),
+		"v2":   encodeV2ToBytes(t, m),
 	}
-	fromJSON, err := Load(bytes.NewReader(jsonBuf.Bytes()))
-	if err != nil {
-		t.Fatalf("loading JSON: %v", err)
+	for name, raw := range inputs {
+		got, err := Load(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("loading %s: %v", name, err)
+		}
+		modelsEquivalent(t, m, got)
 	}
-	fromBinary, err := Load(bytes.NewReader(encodeToBytes(t, m)))
-	if err != nil {
-		t.Fatalf("loading binary: %v", err)
-	}
-	modelsEquivalent(t, m, fromJSON)
-	modelsEquivalent(t, fromJSON, fromBinary)
 }
 
+// TestEmptyModelRoundTrip: a zero-user model decodes from the committed v1
+// fixture and round-trips through the v2 writer.
 func TestEmptyModelRoundTrip(t *testing.T) {
-	m := &core.Model{
-		Cfg:     core.Config{NumCommunities: 2, NumTopics: 2}.WithDefaults(),
-		Pi:      sparse.NewDense(0, 2),
-		Theta:   sparse.NewDense(2, 2),
-		Phi:     sparse.NewDense(2, 0),
-		Eta:     sparse.NewTensor3(2, 2, 2),
-		PopFreq: sparse.NewDense(0, 2),
+	m := emptyModel()
+	for name, raw := range map[string][]byte{
+		"v1": fixture(t, "empty-v1.snap"),
+		"v2": encodeV2ToBytes(t, m),
+	} {
+		got, err := Decode(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		modelsEquivalent(t, m, got)
 	}
-	m.Rehydrate()
-	got, err := Decode(bytes.NewReader(encodeToBytes(t, m)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelsEquivalent(t, m, got)
 }
 
 func TestCorruptSnapshotRejected(t *testing.T) {
-	raw := encodeToBytes(t, testModel(20, 4, 3, 60, 5))
+	raw := fixture(t, "golden-v1.snap")
 	// Flip one byte in every region of the file: header, early section,
 	// deep payload, trailing checksum.
 	for _, pos := range []int{2, 20, len(raw) / 2, len(raw) - 3} {
@@ -202,7 +216,7 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 }
 
 func TestTruncatedSnapshotRejected(t *testing.T) {
-	raw := encodeToBytes(t, testModel(20, 4, 3, 60, 6))
+	raw := fixture(t, "golden-v1.snap")
 	for _, n := range []int{0, 4, len(magic), 30, len(raw) / 3, len(raw) - 1} {
 		if _, err := Decode(bytes.NewReader(raw[:n])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
@@ -211,7 +225,7 @@ func TestTruncatedSnapshotRejected(t *testing.T) {
 }
 
 func TestUnsupportedVersionRejected(t *testing.T) {
-	raw := encodeToBytes(t, testModel(10, 3, 3, 40, 7))
+	raw := fixture(t, "golden-v1.snap")
 	raw[6] = 0x7f // version byte
 	_, err := Decode(bytes.NewReader(raw))
 	if err == nil || !strings.Contains(err.Error(), "version") {
@@ -222,8 +236,7 @@ func TestUnsupportedVersionRejected(t *testing.T) {
 // TestUnknownSectionSkipped verifies forward compatibility: a reader must
 // skip (but checksum) sections it does not know.
 func TestUnknownSectionSkipped(t *testing.T) {
-	m := testModel(15, 4, 3, 50, 8)
-	raw := encodeToBytes(t, m)
+	raw := fixture(t, "golden-v1.snap")
 	// Splice an unknown section right after the magic.
 	extra := buildSection("ZZZZ", []byte("future payload"))
 	spliced := append(append(append([]byte(nil), raw[:len(magic)]...), extra...), raw[len(magic):]...)
@@ -231,15 +244,15 @@ func TestUnknownSectionSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsEquivalent(t, m, got)
+	modelsEquivalent(t, goldenModel(), got)
 }
 
+// buildSection frames one v1 section: tag, little-endian payload length,
+// payload, and the payload's IEEE CRC32.
 func buildSection(tag string, payload []byte) []byte {
-	var buf bytes.Buffer
-	e := &encoder{w: bufio.NewWriter(&buf), crc: crc32.NewIEEE(), scratch: make([]byte, 64)}
-	e.section(tag, uint64(len(payload)), func() { e.raw(payload) })
-	e.w.Flush()
-	return buf.Bytes()
+	out := append([]byte(tag), binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
 // TestOverflowingHeaderRejected: crafted dimension headers whose element
@@ -277,7 +290,7 @@ func TestSaveIsAtomicAndLoadFileSniffs(t *testing.T) {
 	m := testModel(12, 3, 3, 30, 9)
 
 	binPath := filepath.Join(dir, "model.snap")
-	if err := Save(binPath, m); err != nil {
+	if err := SaveV2(binPath, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(binPath)
@@ -286,7 +299,7 @@ func TestSaveIsAtomicAndLoadFileSniffs(t *testing.T) {
 	}
 	modelsEquivalent(t, m, got)
 
-	// No temporary file may survive a successful Save.
+	// No temporary file may survive a successful SaveV2.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -317,21 +330,25 @@ func TestSaveIsAtomicAndLoadFileSniffs(t *testing.T) {
 }
 
 // TestBinarySmallerThanJSON pins the size advantage: 8 bytes per float
-// beats JSON's decimal expansion.
+// beats JSON's decimal expansion, in the committed v1 fixture and in the
+// v2 encoding.
 func TestBinarySmallerThanJSON(t *testing.T) {
+	if v1, js := fixture(t, "golden-v1.snap"), fixture(t, "golden.json"); len(v1) >= len(js) {
+		t.Fatalf("v1 fixture (%d bytes) not smaller than the JSON fixture (%d bytes)", len(v1), len(js))
+	}
 	m := testModel(50, 8, 6, 200, 10)
 	var jsonBuf bytes.Buffer
 	if err := m.Save(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	bin := encodeToBytes(t, m)
+	bin := encodeV2ToBytes(t, m)
 	if len(bin) >= jsonBuf.Len() {
-		t.Fatalf("binary snapshot (%d bytes) not smaller than JSON (%d bytes)", len(bin), jsonBuf.Len())
+		t.Fatalf("v2 snapshot (%d bytes) not smaller than JSON (%d bytes)", len(bin), jsonBuf.Len())
 	}
 }
 
 func TestEncodeRejectsIncompleteModel(t *testing.T) {
-	if err := Encode(&bytes.Buffer{}, &core.Model{}); err == nil {
+	if err := EncodeV2(&bytes.Buffer{}, &core.Model{}); err == nil {
 		t.Fatal("model without parameter blocks accepted")
 	}
 }

@@ -2,8 +2,8 @@ package store
 
 // Snapshot format v2: the zero-copy serving layout.
 //
-// v1 (store.go) streams length-prefixed sections through a fixed buffer —
-// robust and simple, but loading is inherently O(model): every float64 is
+// v1 (store.go, now read-only) streams length-prefixed sections through a
+// fixed buffer, so loading is inherently O(model): every float64 is
 // copied from the file into freshly allocated matrices. v2 instead lays
 // the file out so the big numeric blocks can be used *in place* from a
 // read-only memory mapping (Open / MappedModel):
@@ -411,7 +411,7 @@ func readV2Head(r io.Reader, size uint64) (hdr []byte, entries []v2Entry, err er
 	}
 	if string(hdr[:len(magicV2)]) != magicV2 {
 		if string(hdr[:6]) == magicV2[:6] {
-			return nil, nil, fmt.Errorf("store: snapshot is format version %d; Open requires v2 (retrain or re-save with -format v2, or load with LoadFile)", hdr[6])
+			return nil, nil, fmt.Errorf("store: snapshot is format version %d; Open requires v2 (convert it with LoadFile + SaveV2, or retrain with cpd-train)", hdr[6])
 		}
 		return nil, nil, fmt.Errorf("store: not a v2 CPD snapshot")
 	}
@@ -670,8 +670,8 @@ func applyV2Section(m *core.Model, d *decoder, ent v2Entry, seenDims *bool) erro
 	return nil
 }
 
-// SaveV2 writes m to path as a v2 (mmap-ready) snapshot, with the same
-// atomic, crash-safe rename discipline as Save.
+// SaveV2 writes m to path as a v2 (mmap-ready) snapshot, atomically and
+// crash-safely (see saveAtomic). It is the only snapshot writer.
 func SaveV2(path string, m *core.Model) error {
 	return saveAtomic(path, func(w io.Writer) error { return EncodeV2(w, m) })
 }

@@ -145,7 +145,7 @@ func TestV2MappedOpen(t *testing.T) {
 // names its format version instead of a bare "not a v2 snapshot".
 func TestV2ReadersNameOldFormatVersion(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.v1.snap")
-	if err := Save(path, testModel(10, 3, 3, 40, 7)); err != nil {
+	if err := os.WriteFile(path, fixture(t, "golden-v1.snap"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	readers := map[string]func() error{
